@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import ConfigurationError
 
@@ -25,6 +24,8 @@ def mean_confidence_interval(
     m = float(x.mean())
     if x.size == 1:
         return m, m, m
+    from scipy import stats as sps  # heavy import, loaded on use
+
     sem = float(sps.sem(x))
     if sem == 0.0:
         return m, m, m

@@ -12,42 +12,67 @@ where, with virtual queue ``PC_i`` (Eq. 16) and ``t_i = delta*phi_i/p_i``,
     E_i(phi)  = P(sig_i) * phi * delta     (phi >= 1, Eq. 3)
     E_i(0)    = this slot's incremental tail energy (Eqs. 4-5).
 
-The per-slot problem is a multiple-choice knapsack, which Algorithm 2
-solves exactly by dynamic programming over the total unit count ``M``.
+The per-slot problem is a fixed-charge linear knapsack (a
+multiple-choice knapsack in the paper's terms), solved exactly in two
+stages: a certified closed form, and Algorithm 2's dynamic program over
+the total unit count ``M`` as its fallback.
 
-Implementation note — sliding-window minimum
---------------------------------------------
+Implementation note — certified closed form, DP fallback
+--------------------------------------------------------
 For ``phi >= 1`` the cost is *affine* in ``phi``:
 ``f(i, phi) = PC_i*tau + slope_i*phi`` with
-``slope_i = delta * (V*P_i - PC_i/p_i)``.  The DP transition
+``slope_i = delta * (V*P_i - PC_i/p_i)``, and ``f(i, 0)`` is the idle
+cost.  :func:`repro.core.slot_solver.certified_slot_solve` first solves
+the slot by Lagrangian duality in O(N log N): each user alone takes its
+best of ``{0, 1, w_i}`` when that fits the budget, and otherwise the
+greedy LP relaxation over each user's cost hull yields a multiplier
+``lam`` under which every user but at most one (the break user, who
+takes the residual units) has a unique reduced-cost choice.  It accepts
+the allocation only when every other feasible allocation costs more by
+``Delta > tol = 16 * (N + 1) * eps * B + 1e-12``, with
+``B = sum_i max(|f(i,0)|, |PC_i*tau|) + max_i |slope_i| * M``: a gap
+that exceeds the DP's worst-case rounding, so the DP would return the
+same allocation bit for bit.
+
+Calls it cannot certify (ties — the seeded slot-0 queues give every user
+at the same power one slope — or margins under ``tol``) run the fused DP
+kernel :mod:`repro.kernels.ema_dp`.  Its transition
 
     a[i][M] = min(a[i-1][M] + f(i,0),
                   min_{1<=phi<=w_i} a[i-1][M-phi] + f(i,phi))
 
-then becomes, for the transmit branch,
+becomes, for the transmit branch,
 
     PC_i*tau + slope_i*M + min_{M-w_i <= k <= M-1} (a[i-1][k] - slope_i*k)
 
-— a trailing-window minimum computable in O(M) per user with
-:func:`scipy.ndimage.minimum_filter1d`, instead of the naive
-O(M * w_i).  The result is *exact*: ``tests/core/test_ema.py``
-cross-checks it against the brute-force reference in
-:mod:`repro.core.knapsack` on randomized instances.
+— a trailing-window minimum computable in O(M) per user, instead of the
+naive O(M * w_i).  Both stages are *exact*: ``tests/core/test_ema.py``
+cross-checks the scheduler against the brute-force reference in
+:mod:`repro.core.knapsack`, and ``tests/core/test_slot_solver.py`` pins
+the closed form byte-equal to the DP.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from repro import constants
 from repro.core.lyapunov import VirtualQueues
 from repro.core.scheduler import Scheduler
+from repro.core.slot_solver import CERTIFIED, CLOSED, certified_slot_solve
 from repro.errors import ConfigurationError
 from repro.kernels import registry as kernel_registry
 from repro.net.gateway import SlotObservation
 
-__all__ = ["EMAScheduler", "trailing_window_min"]
+__all__ = ["EMAScheduler", "FALLBACK", "trailing_window_min"]
+
+#: Path name of a slot the closed form could not certify (the DP ran).
+FALLBACK = "fallback"
+
+
+def _new_solver_counts() -> dict[str, int]:
+    """Zeroed per-run solver path tallies (see ``EMAScheduler.solver_counts``)."""
+    return {CLOSED: 0, CERTIFIED: 0, FALLBACK: 0, "fallback_cells": 0}
 
 
 def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
@@ -56,6 +81,8 @@ def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
     The trailing window *excludes* index ``M`` itself — exactly the
     ``k = M - phi`` range for ``phi in [1, window]``.
     """
+    from scipy.ndimage import minimum_filter1d  # heavy import, loaded on use
+
     if window <= 0:
         raise ConfigurationError("window must be positive")
     v = np.asarray(values, dtype=float)
@@ -187,6 +214,9 @@ class EMAScheduler(Scheduler):
         self._initialized = np.zeros(self.n_users, dtype=bool)
         self._scratch = _EmaScratch(self.n_users)
         self._kernel = None
+        #: Slots solved per path since :meth:`reset` (``closed``,
+        #: ``certified``, ``fallback``) and the fallback DP's table cells.
+        self.solver_counts = _new_solver_counts()
 
     # -- scheduling -----------------------------------------------------------
 
@@ -255,16 +285,23 @@ class EMAScheduler(Scheduler):
         np.isfinite(p_act, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(w_eff, 0, where=mask)
+
+        path = certified_slot_solve(
+            phi, active_idx, w_eff, slope_act, const_act, idle_act, budget
+        )
+        if path is not None:
+            self._count_path(path)
+            return phi
+
+        # Fallback: one fused kernel call, DP forward pass + trailing-
+        # window min + backtrack (Steps 6-15 of Algorithm 2).  The DP
+        # uses "total units *at most* M" semantics (the level-0
+        # predecessor is identically zero), so leftover capacity after
+        # the backtrack is simply unused budget.
         origin_act = s.origin[:n_active]
         np.floor_divide(w_eff, 2, out=origin_act)
         np.subtract(w_eff, origin_act, out=origin_act)
         np.subtract(origin_act, 1, out=origin_act)
-
-        # One fused kernel call: DP forward pass + trailing-window min
-        # + backtrack (Steps 6-15 of Algorithm 2).  The DP uses "total
-        # units *at most* M" semantics (the level-0 predecessor is
-        # identically zero), so leftover capacity after the backtrack is
-        # simply unused budget.
         rows, m_idx, fscratch, iscratch = s.dp_buffers(n_active, n_states)
         if self._kernel is None:
             self._kernel = kernel_registry.resolve("ema_dp")
@@ -281,7 +318,37 @@ class EMAScheduler(Scheduler):
             fscratch,
             iscratch,
         )
+        self._count_path(FALLBACK, n_active * n_states)
         return phi
+
+    def tally_path(self, path: str, dp_cells: int = 0) -> None:
+        """Count one solved slot (and its DP cells) in ``solver_counts``."""
+        counts = self.solver_counts
+        counts[path] += 1
+        counts["fallback_cells"] += dp_cells
+
+    def publish_solver_counts(self, metrics) -> None:
+        """Add this run's tallies to ``metrics`` as ``ema.solver.*`` counters.
+
+        Only paths taken get a counter, as in :meth:`_count_path`; the
+        run-stacked batch uses this to report each run's share.
+        """
+        for key, count in self.solver_counts.items():
+            if count:
+                metrics.counter("ema.solver." + key).inc(count)
+
+    def _count_path(self, path: str, dp_cells: int = 0) -> None:
+        """Tally one solved slot; mirror it into ``ema.solver.*`` counters.
+
+        The counters exist only in instrumented runs, created on first
+        use, so uninstrumented runs leave no trace of them.
+        """
+        self.tally_path(path, dp_cells)
+        instr = self.instrumentation
+        if instr is not None:
+            instr.metrics.counter("ema.solver." + path).inc()
+            if dp_cells:
+                instr.metrics.counter("ema.solver.fallback_cells").inc(dp_cells)
 
     def _seed_queues(self, obs: SlotObservation) -> None:
         """Apply the place-holder backlog at each user's first active slot."""
@@ -320,6 +387,7 @@ class EMAScheduler(Scheduler):
     def reset(self) -> None:
         self.queues.reset()
         self._initialized = np.zeros(self.n_users, dtype=bool)
+        self.solver_counts = _new_solver_counts()
         # Re-resolve on next allocate so an ambient use_backend() block
         # entered after construction (the engine's cfg.kernel_backend)
         # governs the kernel choice.

@@ -1,18 +1,30 @@
-"""Fused EMA DP kernel: forward pass + trailing-window min + backtrack.
+"""Fused EMA DP kernel: the certified solver's exact fallback.
 
-One kernel call solves the whole per-slot multiple-choice knapsack of
-Algorithm 2 (see :mod:`repro.core.ema` for the derivation): the DP
-forward recursion over users, the O(M) trailing-window minimum that
-exploits the affine transmit cost, and the backtrack that recovers the
-per-user allocations from the value tables.
+:class:`repro.core.ema.EMAScheduler` first tries the closed form of
+:func:`repro.core.slot_solver.certified_slot_solve`.  It accepts an
+allocation only when a Lagrangian certificate shows every other
+feasible allocation costs more by ``Delta > tol``, with
+``tol = 16 * (N + 1) * eps * B + 1e-12`` and
+``B = sum_k max(|idle_k|, |const_k|) + max_k |slope_k| * M``: more than
+twice this DP's worst-case rounding error plus its ``1e-12`` backtrack
+threshold, so the DP would return the same allocation bit for bit.
+Every call the certificate cannot settle (ties, thin margins,
+non-finite coefficients) comes here, unchanged.
 
-The numpy implementation is the PR 3 vectorised loop verbatim (per-user
-ufunc chain + scipy's ``minimum_filter1d`` C routine); the python/numba
-implementation replaces the minimum filter with a monotonic-deque
-sliding minimum fused into the forward sweep.  Both compute the minimum
-of the same value set with the same additions and multiplications in
-the same association order, so the results are bit-identical — the
-contract checked by ``tests/kernels/test_kernel_parity.py``.
+One kernel call solves the whole per-slot knapsack of Algorithm 2 (see
+:mod:`repro.core.ema` for the derivation): the DP forward recursion over
+users, the O(M) trailing-window minimum that exploits the affine
+transmit cost, and the backtrack that recovers the per-user allocations
+from the value tables.
+
+The numpy implementation is a vectorised loop (per-user ufunc chain +
+scipy's ``minimum_filter1d`` C routine, imported on the first call);
+the python/numba implementation replaces the minimum filter with a
+monotonic-deque sliding minimum fused into the forward sweep.  Both
+compute the minimum of the same value set with the same additions and
+multiplications in the same association order, so the results are
+bit-identical — the contract checked by
+``tests/kernels/test_kernel_parity.py``.
 
 Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
 
@@ -27,35 +39,47 @@ Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.ndimage import minimum_filter1d
 
 from repro.kernels.registry import register
 
 __all__ = ["ema_dp_numpy", "ema_dp_loops"]
 
-try:  # pragma: no cover - import plumbing
-    # The DP loop calls the minimum filter once per active user per
-    # slot; the public wrapper's argument validation is measurable at
-    # that call rate.  This invokes the same C routine with the same
-    # arguments the wrapper would pass (axis normalized, mode
-    # pre-encoded), so results are bit-identical; any scipy-internal
-    # change falls back to the public function.
-    from scipy.ndimage import _nd_image as _scipy_nd_image
-    from scipy.ndimage import _ni_support as _scipy_ni_support
 
-    _MODE_CONSTANT = _scipy_ni_support._extend_mode_to_code("constant")
+@functools.cache
+def _trailing_min_routine():
+    """The minimum-filter call the numpy DP makes per user, bound once.
 
-    def _trailing_min_into(shifted, size, origin, out):
-        _scipy_nd_image.min_or_max_filter1d(
-            shifted, size, 0, out, _MODE_CONSTANT, np.inf, origin, 1
-        )
-except Exception:  # pragma: no cover - scipy internals moved
+    ``scipy.ndimage`` costs a measurable share of ``import repro`` and
+    only the DP fallback needs it, so it is imported on the first call.
+    """
+    from scipy.ndimage import minimum_filter1d
 
-    def _trailing_min_into(shifted, size, origin, out):
-        minimum_filter1d(
-            shifted, size=size, mode="constant", cval=np.inf, origin=origin, output=out
-        )
+    try:
+        # The DP loop calls the minimum filter once per active user per
+        # slot; the public wrapper's argument validation is measurable
+        # at that call rate.  This invokes the same C routine with the
+        # same arguments the wrapper would pass (axis normalized, mode
+        # pre-encoded), so results are bit-identical; any
+        # scipy-internal change falls back to the public function.
+        from scipy.ndimage import _nd_image, _ni_support
+
+        mode_constant = _ni_support._extend_mode_to_code("constant")
+
+        def trailing_min_into(shifted, size, origin, out):
+            _nd_image.min_or_max_filter1d(
+                shifted, size, 0, out, mode_constant, np.inf, origin, 1
+            )
+    except Exception:  # pragma: no cover - scipy internals moved
+
+        def trailing_min_into(shifted, size, origin, out):
+            minimum_filter1d(
+                shifted, size=size, mode="constant", cval=np.inf, origin=origin, output=out
+            )
+
+    return trailing_min_into
 
 
 def ema_dp_numpy(
@@ -79,6 +103,7 @@ def ema_dp_numpy(
     slope_list = slope[:n_active].tolist()
     const_list = const[:n_active].tolist()
     idle_list = idle[:n_active].tolist()
+    trailing_min_into = _trailing_min_routine()
 
     a_prev = zeros_row
     for k in range(n_active):
@@ -95,7 +120,7 @@ def ema_dp_numpy(
             # trailing_window_min(basis, w) = filt[M-1] with filt the
             # size-w window ending *at* M — one origin shift instead of
             # the copy into a prepended-inf buffer.
-            _trailing_min_into(basis, w, origin_list[k], filt)
+            trailing_min_into(basis, w, origin_list[k], filt)
             # tx = const + slope * m_idx + twm, with twm[0] = +inf
             # (empty trailing window) and twm[1:] = filt[:-1].
             np.add(prod, const_list[k], out=prod)

@@ -19,6 +19,10 @@ name                                      type       meaning
 ``rrc.tail_mj``                           counter    cumulative tail-energy accrual
 ``energy.trans_mj``                       counter    cumulative transmission energy
 ``ema.virtual_queues``                    gauge      EMA's PC_i(n) vector, updated per slot
+``ema.solver.<path>``                     counter    EMA slots per solver path: ``closed``,
+                                                     ``certified`` or ``fallback`` (the DP);
+                                                     created on first use
+``ema.solver.fallback_cells``             counter    DP table cells of the fallback calls
 ``calibration.grid_evaluations``          counter    inner simulations run by the calibrators
 ========================================  =========  =========================================
 """

@@ -56,10 +56,11 @@ from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.allocation import check_constraints
-from repro.core.ema import EMAScheduler
+from repro.core.ema import FALLBACK, EMAScheduler
 from repro.core.lyapunov import VirtualQueues
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import Scheduler
+from repro.core.slot_solver import certified_slot_solve
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import SlotArena, backend_info, use_backend
 from repro.kernels import registry as kernel_registry
@@ -556,14 +557,14 @@ class BatchPlan:
                 if r == 0:
                     reg.counter("batch.runs").inc(n_runs)
                     reg.counter("batch.slots").inc(gamma)
-                if r == n_runs - 1:
-                    # Scheduler adapters publish their final gauge
-                    # state (e.g. EMA's virtual queues) into the last
-                    # run's registry — gauges are last-write-wins, so
-                    # the merged value matches a serial run sequence.
-                    finalize = getattr(scheduler, "finalize_batch", None)
-                    if finalize is not None:
-                        finalize(reg)
+                # Scheduler adapters publish what the serial scheduler
+                # would have recorded in this run (e.g. EMA's solver
+                # path counters and, in the last run, its final
+                # virtual-queue gauges: last-write-wins, so the merged
+                # value matches a serial run sequence).
+                finalize = getattr(scheduler, "finalize_run", None)
+                if finalize is not None:
+                    finalize(r, reg)
                 state = reg.state()
                 self.run_metric_states.append(state)
                 instr.metrics.merge_state(state)
@@ -672,9 +673,10 @@ class _BatchEMA(Scheduler):
     run's ``PC_i``; per-run scalars (``V``, queue floor, seeding) become
     per-lane arrays, and the serial coefficient chain runs on the
     packed active rows of all runs at once — every operation is
-    elementwise, so each lane sees exactly its serial arithmetic.  The
-    ``ema_dp_batch`` kernel then solves each run's knapsack against its
-    own budget.
+    elementwise, so each lane sees exactly its serial arithmetic.  Each
+    run's knapsack then goes to the certified closed form against its
+    own budget, and the ``ema_dp_batch`` kernel solves the runs it
+    cannot certify.
     """
 
     name = "ema"
@@ -827,14 +829,43 @@ class _BatchEMA(Scheduler):
         np.isfinite(p_act, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(w_eff, 0, where=mask)
+
+        # The certified closed form per run segment, as the serial
+        # scheduler tries it; the DP runs only on the segments it
+        # cannot certify (the others keep a zero budget, which the
+        # batch kernel skips).
+        dp_budgets = np.zeros_like(budgets)
+        for r in range(self.n_runs):
+            lo = act_bounds[r]
+            hi = act_bounds[r + 1]
+            budget = int(budgets[r])
+            if lo == hi or budget <= 0:
+                continue
+            path = certified_slot_solve(
+                phi,
+                active_idx[lo:hi],
+                w_eff[lo:hi],
+                slope_act[lo:hi],
+                const_act[lo:hi],
+                idle_act[lo:hi],
+                budget,
+            )
+            # Tallies only: finalize_run publishes them as counters.
+            if path is None:
+                self.scheds[r].tally_path(FALLBACK, int(hi - lo) * (budget + 1))
+                dp_budgets[r] = budget
+            else:
+                self.scheds[r].tally_path(path)
+        if not dp_budgets.any():
+            return phi
+
         origin_act = self._origin[:n_active]
         np.floor_divide(w_eff, 2, out=origin_act)
         np.subtract(w_eff, origin_act, out=origin_act)
         np.subtract(origin_act, 1, out=origin_act)
 
-        seg_sizes = np.diff(act_bounds)
-        na_max = int(seg_sizes.max())
-        ns_max = int(budgets.max()) + 1
+        na_max = int(np.diff(act_bounds)[dp_budgets > 0].max())
+        ns_max = int(dp_budgets.max()) + 1
         self._dp_capacity(na_max * ns_max, ns_max)
         if self._kernel is None:
             self._kernel = kernel_registry.resolve("ema_dp_batch")
@@ -842,7 +873,7 @@ class _BatchEMA(Scheduler):
             phi,
             active_idx,
             act_bounds,
-            budgets,
+            dp_budgets,
             w_eff,
             origin_act,
             slope_act,
@@ -877,14 +908,21 @@ class _BatchEMA(Scheduler):
                 self.queues.values, self._floor_lanes, out=self.queues.values
             )
 
-    def finalize_batch(self, metrics) -> None:
-        """Publish the serial run sequence's *final* gauge state.
+    def finalize_run(self, r: int, metrics) -> None:
+        """Publish run ``r``'s share of the serial metrics into its registry.
 
-        Serial runs publish ``ema.virtual_queues`` after every slot;
-        gauges are last-write-wins, so the post-sequence state is the
-        last run's final queues — exactly this batch's last lane slice.
-        ``metrics`` is the last run's per-run registry.
+        A serial EMA run counts its solver paths into ``ema.solver.*``
+        as it goes; here each run's tallies land in its own registry,
+        with counters created only for paths taken, as serially.
+
+        Serial runs also publish ``ema.virtual_queues`` after every
+        slot; gauges are last-write-wins, so the post-sequence state is
+        the last run's final queues — exactly this batch's last lane
+        slice, published into the last run's registry.
         """
+        self.scheds[r].publish_solver_counts(metrics)
+        if r != self.n_runs - 1:
+            return
         lo = int(self.run_offsets[-2])
         hi = int(self.run_offsets[-1])
         pc = self.queues.values[lo:hi].copy()
