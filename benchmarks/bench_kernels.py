@@ -115,6 +115,24 @@ def test_ema_allocate_slot(benchmark):
     assert phi.shape == (40,)
 
 
+def test_ema_dp_fallback_slot(benchmark, monkeypatch):
+    """One EMA slot forced onto the DP fallback at N=40, M=512.
+
+    The certified closed form settles the paper slot above, so this
+    entry is the one that gates the DP kernel's small-M cost.
+    """
+    import repro.core.ema as ema_module
+
+    monkeypatch.setattr(ema_module, "certified_slot_solve", lambda *args: None)
+    obs = paper_slot_observation()
+    sched = EMAScheduler(40, v_param=0.1)
+    sched.allocate(obs)  # seed queues outside the timer
+    sched.queues.values = np.random.default_rng(1).normal(0, 10, 40)
+    phi = benchmark(sched.allocate, obs)
+    assert phi.shape == (40,)
+    assert sched.solver_counts["fallback"] >= 2
+
+
 def test_default_allocate_slot(benchmark):
     obs = paper_slot_observation()
     sched = DefaultScheduler()

@@ -45,11 +45,16 @@ becomes, for the transmit branch,
 
     PC_i*tau + slope_i*M + min_{M-w_i <= k <= M-1} (a[i-1][k] - slope_i*k)
 
-— a trailing-window minimum computable in O(M) per user, instead of the
-naive O(M * w_i).  Both stages are *exact*: ``tests/core/test_ema.py``
-cross-checks the scheduler against the brute-force reference in
-:mod:`repro.core.knapsack`, and ``tests/core/test_slot_solver.py`` pins
-the closed form byte-equal to the DP.
+— a trailing-window minimum, instead of the naive O(M * w_i) scan.  The
+numpy kernel takes it as ``ceil(log2 w_i)`` doubling passes of
+``np.minimum`` (:func:`repro.kernels.ema_dp.window_min`, which also
+backs :func:`trailing_window_min`); the loop kernel keeps a monotonic
+deque, O(M) per user.  Neither imports scipy.
+
+Both stages are *exact*: ``tests/core/test_ema.py`` cross-checks the
+scheduler against the brute-force reference in :mod:`repro.core.knapsack`,
+and ``tests/core/test_slot_solver.py`` pins the closed form byte-equal
+to the DP.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.core.scheduler import Scheduler
 from repro.core.slot_solver import CERTIFIED, CLOSED, certified_slot_solve
 from repro.errors import ConfigurationError
 from repro.kernels import registry as kernel_registry
+from repro.kernels.ema_dp import FSCRATCH_PER_STATE, window_min
 from repro.net.gateway import SlotObservation
 
 __all__ = ["EMAScheduler", "FALLBACK", "trailing_window_min"]
@@ -79,24 +85,22 @@ def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
     """``out[M] = min(values[max(0, M-window) : M])`` (empty -> +inf).
 
     The trailing window *excludes* index ``M`` itself — exactly the
-    ``k = M - phi`` range for ``phi in [1, window]``.
+    ``k = M - phi`` range for ``phi in [1, window]``.  NaN has no place
+    in a minimum, so NaN input raises :class:`ConfigurationError`.
     """
-    from scipy.ndimage import minimum_filter1d  # heavy import, loaded on use
-
     if window <= 0:
         raise ConfigurationError("window must be positive")
     v = np.asarray(values, dtype=float)
-    # Shift right so the window ending at M-1 becomes a window ending at M.
-    shifted = np.empty_like(v)
-    shifted[0] = np.inf
-    shifted[1:] = v[:-1]
+    if np.isnan(v).any():
+        raise ConfigurationError("trailing_window_min input contains NaN")
     w = min(window, v.size)
-    # scipy's origin shifts the window start *back* by `origin`; the
-    # trailing window [M - w + 1, M] on `shifted` needs the window's
-    # right edge at M, i.e. origin = w - 1 - w//2 (= ceil(w/2) - 1,
-    # always within scipy's |origin| <= w//2 limit).
-    origin = w - 1 - w // 2
-    return minimum_filter1d(shifted, size=w, mode="constant", cval=np.inf, origin=origin)
+    # The DP kernel's doubling minimum over the input shifted one slot
+    # right (+inf first), so the window ending at M covers v[M-w : M].
+    pad = w // 2
+    end = pad + v.size
+    buf = np.full(2 * end, np.inf)
+    buf[pad + 1 : end] = v[:-1]
+    return window_min(buf[:end], buf[end:], pad, end, w)
 
 
 class _EmaScratch:
@@ -131,8 +135,9 @@ class _EmaScratch:
         """(rows, m_idx, fscratch, iscratch) views sized for this slot."""
         if self._rows_flat.size < n_active * n_states:
             self._rows_flat = np.empty(n_active * n_states, dtype=float)
-        if self._fscratch.size < 4 * n_states:
-            self._fscratch = np.empty(4 * n_states, dtype=float)
+        n_float = FSCRATCH_PER_STATE * n_states
+        if self._fscratch.size < n_float:
+            self._fscratch = np.empty(n_float, dtype=float)
         if self._iscratch.size < n_states:
             self._iscratch = np.empty(n_states, dtype=np.int64)
         if self._m_idx.size < n_states:
@@ -141,7 +146,7 @@ class _EmaScratch:
         return (
             rows,
             self._m_idx[:n_states],
-            self._fscratch[: 4 * n_states],
+            self._fscratch[:n_float],
             self._iscratch[:n_states],
         )
 
@@ -258,9 +263,10 @@ class EMAScheduler(Scheduler):
         np.add(const_act, idle_act, out=idle_act)
         slope_act = s.slope[:n_active]
         tmp = s.tmp[:n_active]
-        with np.errstate(invalid="ignore"):
-            # Lanes with non-finite P produce inf/nan slopes here; they
-            # take the no-tx branch in the DP and never read the slope.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # Lanes with non-finite P, zero rate or an infinite queue
+            # produce inf/nan slopes here; they are masked to no-tx
+            # below, so neither solver reads the slope.
             np.multiply(p_act, v, out=slope_act)
             np.divide(pc_act, rate_act, out=tmp)
             np.subtract(slope_act, tmp, out=slope_act)
@@ -268,8 +274,8 @@ class EMAScheduler(Scheduler):
 
         # Per-user transmit cap: link constraint (1), remaining bytes,
         # and the client's receiver window.  w_eff = 0 marks the pure
-        # no-tx users (zero window or non-finite reception power); the
-        # backtrack never reads their slope.
+        # no-tx users: zero window or a non-finite slope (non-finite P
+        # gives one); the DP backends would treat a NaN slope apart.
         sendable = np.take(obs.remaining_kb, active_idx, out=s.f1[:n_active])
         recv = np.take(obs.receivable_kb, active_idx, out=s.f2[:n_active])
         np.minimum(sendable, recv, out=sendable)
@@ -282,7 +288,7 @@ class EMAScheduler(Scheduler):
         np.minimum(w_eff, useful, out=w_eff)
         np.minimum(w_eff, n_states, out=w_eff)
         mask = s.mask[:n_active]
-        np.isfinite(p_act, out=mask)
+        np.isfinite(slope_act, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(w_eff, 0, where=mask)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.backend import maybe_njit
-from repro.kernels.ema_dp import ema_dp_loops, ema_dp_numpy
+from repro.kernels.ema_dp import FSCRATCH_PER_STATE, ema_dp_loops, ema_dp_numpy
 from repro.kernels.registry import register
 from repro.kernels.rtma_rounds import rtma_rounds_loops, rtma_rounds_numpy
 
@@ -132,7 +132,7 @@ def ema_dp_batch_numpy(
             idle[lo:hi],
             rows,
             m_idx[:n_states],
-            fscratch[: 4 * n_states],
+            fscratch[: FSCRATCH_PER_STATE * n_states],
             iscratch[:n_states],
         )
     return 0
@@ -174,7 +174,7 @@ def ema_dp_batch_loops(
             idle[lo:hi],
             rows,
             m_idx[:n_states],
-            fscratch[: 4 * n_states],
+            fscratch[: FSCRATCH_PER_STATE * n_states],
             iscratch[:n_states],
         )
     return 0
@@ -206,7 +206,7 @@ def _warmup_ema(fn):
     idle = np.full(2, 0.5)
     rows_flat = np.empty(n_states, dtype=float)
     m_idx = np.arange(n_states, dtype=float)
-    fscratch = np.empty(4 * n_states)
+    fscratch = np.empty(FSCRATCH_PER_STATE * n_states)
     iscratch = np.empty(n_states, dtype=np.int64)
     fn(
         phi,

@@ -13,17 +13,18 @@ non-finite coefficients) comes here, unchanged.
 
 One kernel call solves the whole per-slot knapsack of Algorithm 2 (see
 :mod:`repro.core.ema` for the derivation): the DP forward recursion over
-users, the O(M) trailing-window minimum that exploits the affine
-transmit cost, and the backtrack that recovers the per-user allocations
+users, the trailing-window minimum that exploits the affine transmit
+cost, and the backtrack that recovers the per-user allocations
 from the value tables.
 
-The numpy implementation is a vectorised loop (per-user ufunc chain +
-scipy's ``minimum_filter1d`` C routine, imported on the first call);
-the python/numba implementation replaces the minimum filter with a
-monotonic-deque sliding minimum fused into the forward sweep.  Both
-compute the minimum of the same value set with the same additions and
-multiplications in the same association order, so the results are
-bit-identical — the contract checked by
+The numpy implementation is a vectorised loop: a per-user ufunc chain
+whose trailing-window minimum is :func:`window_min`, ``ceil(log2 w)``
+doubling passes of ``np.minimum`` over a ``+inf``-padded buffer.  The
+python/numba implementation replaces it with a monotonic-deque sliding
+minimum fused into the forward sweep.  A minimum is exact whatever the
+order it is taken in, and both kernels compute the transmit branch with
+the same additions and multiplications in the same association order,
+so the results are bit-identical — the contract checked by
 ``tests/kernels/test_kernel_parity.py``.
 
 Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
@@ -31,79 +32,84 @@ Caller contract (enforced by :class:`repro.core.ema.EMAScheduler`):
 * ``n_active = active_idx.size >= 1`` and ``n_states >= 1``;
 * ``rows`` is C-contiguous ``(n_active, n_states)`` float64;
 * ``m_idx[:n_states] == arange(n_states)`` as float64;
-* ``fscratch`` has at least ``4 * n_states`` float64 slots and
-  ``iscratch`` at least ``n_states`` int64 slots;
-* ``w_eff[k] == 0`` marks pure no-transmit users (zero window or
-  non-finite reception power); their slope is never read.
+* ``fscratch`` has at least ``FSCRATCH_PER_STATE * n_states`` float64
+  slots and ``iscratch`` at least ``n_states`` int64 slots;
+* ``w_eff[k] >= 0``; ``w_eff[k] == 0`` marks pure
+  no-transmit users (zero window, non-finite reception power or
+  non-finite slope), whose slope is never read; every other user has
+  finite ``slope``, ``const`` and ``idle``.
+
+No kernel reads ``origin`` (``w - w//2 - 1``, a minimum-filter window
+origin); it stays because callers and argument hooks address the
+signature by position.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
 from repro.kernels.registry import register
 
-__all__ = ["ema_dp_numpy", "ema_dp_loops"]
+__all__ = ["FSCRATCH_PER_STATE", "ema_dp_numpy", "ema_dp_loops", "window_min"]
+
+#: Float64 scratch slots per DP state: the numpy kernel's zero row, its
+#: product row, and two ``window_min`` buffers of ``n_states`` +inf
+#: padding plus ``n_states`` data each.
+FSCRATCH_PER_STATE = 6
 
 
-@functools.cache
-def _trailing_min_routine():
-    """The minimum-filter call the numpy DP makes per user, bound once.
+def window_min(ping, pong, pad, end, w):
+    """Minima of ``ping[pad:end]`` over the ``w``-wide windows ending at each index.
 
-    ``scipy.ndimage`` costs a measurable share of ``import repro`` and
-    only the DP fallback needs it, so it is imported on the first call.
+    Doubling: each pass takes ``np.minimum`` of the window minima so far
+    and the same minima ``step = min(size, w - size)`` slots back, so
+    ``ceil(log2 w)`` passes reach width ``w`` (cut to the data length).
+    ``ping[:pad]`` and ``pong[:pad]`` must hold ``+inf``, with
+    ``pad >= w // 2``; the passes overwrite both data parts and return
+    a view of one.  NaN propagates.  On a tie ``np.minimum`` returns its
+    second operand, the later window's, so a ``0.0`` / ``-0.0`` tie
+    resolves as in the loop kernel's deque.
     """
-    from scipy.ndimage import minimum_filter1d
-
-    try:
-        # The DP loop calls the minimum filter once per active user per
-        # slot; the public wrapper's argument validation is measurable
-        # at that call rate.  This invokes the same C routine with the
-        # same arguments the wrapper would pass (axis normalized, mode
-        # pre-encoded), so results are bit-identical; any
-        # scipy-internal change falls back to the public function.
-        from scipy.ndimage import _nd_image, _ni_support
-
-        mode_constant = _ni_support._extend_mode_to_code("constant")
-
-        def trailing_min_into(shifted, size, origin, out):
-            _nd_image.min_or_max_filter1d(
-                shifted, size, 0, out, mode_constant, np.inf, origin, 1
-            )
-    except Exception:  # pragma: no cover - scipy internals moved
-
-        def trailing_min_into(shifted, size, origin, out):
-            minimum_filter1d(
-                shifted, size=size, mode="constant", cval=np.inf, origin=origin, output=out
-            )
-
-    return trailing_min_into
+    w = min(w, end - pad)
+    cur, nxt = ping, pong
+    cur_data, nxt_data = ping[pad:end], pong[pad:end]
+    size = 1
+    while size < w:
+        step = min(size, w - size)
+        np.minimum(cur[pad - step : end - step], cur_data, out=nxt_data)
+        cur, nxt = nxt, cur
+        cur_data, nxt_data = nxt_data, cur_data
+        size += step
+    return cur_data
 
 
 def ema_dp_numpy(
     phi, active_idx, w_eff, origin, slope, const, idle, rows, m_idx, fscratch, iscratch
 ):
-    """Vectorised DP: per-user ufunc chain + scipy minimum filter."""
+    """Vectorised DP: per-user ufunc chain + doubling window minimum."""
     n_active = active_idx.shape[0]
     n_states = rows.shape[1]
-    basis = fscratch[0:n_states]
+    pad = n_states
+    end = pad + n_states
+    zeros_row = fscratch[0:n_states]
     prod = fscratch[n_states : 2 * n_states]
-    filt = fscratch[2 * n_states : 3 * n_states]
-    zeros_row = fscratch[3 * n_states : 4 * n_states]
+    ping = fscratch[2 * n_states : 2 * n_states + end]
+    pong = fscratch[2 * n_states + end : 2 * n_states + 2 * end]
     zeros_row[:] = 0.0
-    prod_tail = prod[1:]
-    filt_head = filt[:-1]
+    # +inf padding, plus the first data slot of ping: the basis is
+    # written one slot right of the data start, so the window minimum
+    # at m covers basis[m - w : m] and is +inf at m = 0.
+    ping[: pad + 1] = np.inf
+    pong[:pad] = np.inf
+    basis = ping[pad + 1 : end]
+    prod_head = prod[:-1]
     # Python-scalar mirrors of the coefficient vectors: the DP loop
     # reads one scalar per user and list indexing is several times
     # cheaper than NumPy scalar extraction at this call rate.
     w_list = w_eff[:n_active].tolist()
-    origin_list = origin[:n_active].tolist()
     slope_list = slope[:n_active].tolist()
     const_list = const[:n_active].tolist()
     idle_list = idle[:n_active].tolist()
-    trailing_min_into = _trailing_min_routine()
 
     a_prev = zeros_row
     for k in range(n_active):
@@ -113,19 +119,14 @@ def ema_dp_numpy(
         if w == 0:
             np.add(a_prev, idle_k, out=a_cur)  # no-tx only
         else:
-            slope_k = slope_list[k]
-            # basis = a_prev - slope * m_idx
-            np.multiply(m_idx, slope_k, out=prod)
-            np.subtract(a_prev, prod, out=basis)
-            # trailing_window_min(basis, w) = filt[M-1] with filt the
-            # size-w window ending *at* M — one origin shift instead of
-            # the copy into a prepended-inf buffer.
-            trailing_min_into(basis, w, origin_list[k], filt)
-            # tx = const + slope * m_idx + twm, with twm[0] = +inf
-            # (empty trailing window) and twm[1:] = filt[:-1].
+            # basis[m] = a_prev[m] - slope * m, for m < n_states - 1
+            np.multiply(m_idx, slope_list[k], out=prod)
+            np.subtract(a_prev[:-1], prod_head, out=basis)
+            twm = window_min(ping, pong, pad, end, w)
+            # tx = (const + slope * m_idx) + twm, with twm[0] = +inf
+            # (empty trailing window).
             np.add(prod, const_list[k], out=prod)
-            np.add(prod_tail, filt_head, out=prod_tail)
-            prod[0] = np.inf
+            np.add(prod, twm, out=prod)
             # a_cur = min(no_tx, tx) with no_tx = a_prev + idle
             np.add(a_prev, idle_k, out=a_cur)
             np.minimum(a_cur, prod, out=a_cur)
@@ -135,7 +136,7 @@ def ema_dp_numpy(
     # argmin over phi_i is re-derived at the chosen capacity point only
     # — O(w_i) work per user instead of storing the full g(i, M) table.
     m_star = int(np.argmin(a_prev))
-    affine = basis
+    affine = ping[pad:end]
     vals = prod
     m = m_star
     for level in range(n_active - 1, -1, -1):
@@ -254,7 +255,7 @@ def _warmup(fn):
     idle = np.full(1, 0.5)
     rows = np.empty((1, n_states))
     m_idx = np.arange(n_states, dtype=float)
-    fscratch = np.empty(4 * n_states)
+    fscratch = np.empty(FSCRATCH_PER_STATE * n_states)
     iscratch = np.empty(n_states, dtype=np.int64)
     fn(phi, active_idx, w_eff, origin, slope, const, idle, rows, m_idx, fscratch, iscratch)
 

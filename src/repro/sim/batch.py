@@ -64,6 +64,7 @@ from repro.core.slot_solver import certified_slot_solve
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels import SlotArena, backend_info, use_backend
 from repro.kernels import registry as kernel_registry
+from repro.kernels.ema_dp import FSCRATCH_PER_STATE
 from repro.media.fleet import ClientFleet
 from repro.net.basestation import BaseStation, ConstantCapacity
 from repro.net.gateway import Gateway, SlotObservation
@@ -762,8 +763,8 @@ class _BatchEMA(Scheduler):
     def _dp_capacity(self, rows_needed: int, n_states: int) -> None:
         if self._rows_flat.size < rows_needed:
             self._rows_flat = np.empty(rows_needed, dtype=float)
-        if self._fscratch.size < 4 * n_states:
-            self._fscratch = np.empty(4 * n_states, dtype=float)
+        if self._fscratch.size < FSCRATCH_PER_STATE * n_states:
+            self._fscratch = np.empty(FSCRATCH_PER_STATE * n_states, dtype=float)
         if self._iscratch.size < n_states:
             self._iscratch = np.empty(n_states, dtype=np.int64)
         if self._m_idx.size < n_states:
@@ -800,7 +801,7 @@ class _BatchEMA(Scheduler):
         np.add(const_act, idle_act, out=idle_act)
         slope_act = self._slope[:n_active]
         tmp = self._tmp[:n_active]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             np.multiply(p_act, v_act, out=slope_act)
             np.divide(pc_act, rate_act, out=tmp)
             np.subtract(slope_act, tmp, out=slope_act)
@@ -825,8 +826,9 @@ class _BatchEMA(Scheduler):
             self._nst_lanes, active_idx, out=self._nst_act[:n_active]
         )
         np.minimum(w_eff, nst_act, out=w_eff)
+        # A non-finite slope marks a no-tx lane, as in the serial chain.
         mask = self._mask[:n_active]
-        np.isfinite(p_act, out=mask)
+        np.isfinite(slope_act, out=mask)
         np.logical_not(mask, out=mask)
         np.copyto(w_eff, 0, where=mask)
 

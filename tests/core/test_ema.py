@@ -7,6 +7,7 @@ from repro.core.allocation import check_constraints
 from repro.core.ema import EMAScheduler, trailing_window_min
 from repro.core.knapsack import exact_slot_minimum
 from repro.errors import ConfigurationError
+from repro.kernels import use_backend
 
 from tests.conftest import make_obs
 
@@ -35,6 +36,19 @@ class TestTrailingWindowMin:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             trailing_window_min(np.array([1.0]), 0)
+
+    def test_empty_input_gives_empty_output(self):
+        out = trailing_window_min(np.array([]), 3)
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 10])
+    def test_nan_input_raises(self, window):
+        # A NaN's effect on a minimum depends on where it sits in the
+        # window, so it is rejected rather than given an arbitrary answer.
+        with pytest.raises(ConfigurationError):
+            trailing_window_min(np.array([np.nan, 1.0, 2.0]), window)
+        with pytest.raises(ConfigurationError):
+            trailing_window_min(np.array([1.0, 2.0, np.nan]), window)
 
 
 def ema_cost_tables(ema, obs, pc):
@@ -96,6 +110,31 @@ class TestDPExactness:
         phi = ema.allocate(obs)
         assert phi[0] == 0
         assert phi[1] > 0
+
+
+    @pytest.mark.parametrize("pc_zero_rate", [100.0, 0.0], ids=["slope-inf", "slope-nan"])
+    def test_non_finite_slope_user_excluded_on_every_backend(self, pc_zero_rate):
+        # A zero rate makes user 1's slope pc / 0: -inf, or nan when its
+        # queue is empty.  Users 0 and 2 tie and split the budget, so the
+        # DP runs; both kernels must skip user 1 and agree.
+        results = []
+        for backend in ("numpy", "python"):
+            with use_backend(backend):
+                obs = make_obs(
+                    n_users=3,
+                    rate_kbps=[450.0, 0.0, 450.0],
+                    link_units=[2, 2, 2],
+                    unit_budget=3,
+                )
+                ema = EMAScheduler(3, v_param=0.1)
+                ema.queues.values = np.array([100.0, pc_zero_rate, 100.0])
+                ema._initialized[:] = True
+                phi = ema.allocate(obs)
+                assert ema.solver_counts["fallback"] == 1
+                results.append(phi.tolist())
+        assert results[0] == results[1]
+        assert results[0][1] == 0
+        assert sum(results[0]) == 3
 
 
 class TestQueueDynamics:

@@ -21,7 +21,7 @@ from repro.core.slot_solver import (
     certificate_tolerance,
     certified_slot_solve,
 )
-from repro.kernels.ema_dp import ema_dp_loops, ema_dp_numpy
+from repro.kernels.ema_dp import FSCRATCH_PER_STATE, ema_dp_loops, ema_dp_numpy
 
 RNG_TRIALS = 400
 
@@ -39,7 +39,7 @@ def run_dp(kernel, n_users, active_idx, w_eff, slope, const, idle, budget):
         idle,
         np.empty((active_idx.size, n_states)),
         np.arange(n_states, dtype=float),
-        np.empty(4 * n_states),
+        np.empty(FSCRATCH_PER_STATE * n_states),
         np.empty(n_states, dtype=np.int64),
     )
     return phi

@@ -124,8 +124,20 @@ class TestSerialBatchCounts:
 
 
 def test_import_does_not_load_scipy_ndimage():
-    """``scipy.ndimage`` serves only the DP fallback: loaded on first use."""
-    code = "import sys, repro; print('scipy.ndimage' in sys.modules)"
+    """No EMA run loads ``scipy.ndimage``, not even one that takes the DP."""
+    code = (
+        "import sys, repro\n"
+        "from repro.core.ema import EMAScheduler\n"
+        "from repro.sim.config import SimConfig\n"
+        "from repro.sim.engine import Simulation\n"
+        "from repro.sim.workload import generate_workload\n"
+        "loaded = 'scipy.ndimage' in sys.modules\n"
+        "cfg = SimConfig(n_users=10, n_slots=5, capacity_kbps=5120.0,\n"
+        "                buffer_capacity_s=60.0, vbr_segments=30, seed=0)\n"
+        "sched = EMAScheduler(10, v_param=0.05, tau_s=cfg.tau_s)\n"
+        "Simulation(cfg, sched, generate_workload(cfg)).run()\n"
+        "print(loaded, sched.solver_counts['fallback'], 'scipy.ndimage' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -133,4 +145,8 @@ def test_import_does_not_load_scipy_ndimage():
         check=True,
         env={"PYTHONPATH": str(SRC), "PATH": ""},
     )
-    assert out.stdout.strip() == "False"
+    after_import, fallbacks, after_run = out.stdout.split()
+    assert after_import == "False"
+    # The seeded slot-0 tie takes the DP fallback, so the run is not vacuous.
+    assert int(fallbacks) >= 1
+    assert after_run == "False"

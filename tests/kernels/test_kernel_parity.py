@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.kernels import SlotArena, available_backends, registry
+from repro.kernels.ema_dp import FSCRATCH_PER_STATE
 
 RNG_TRIALS = 200
 
@@ -50,7 +51,7 @@ class TestEmaDpParity:
             for kern in (k_np, k_alt):
                 phi = np.zeros(n_users, dtype=np.int64)
                 rows = np.empty((n_active, n_states), dtype=float)
-                fscratch = np.empty(4 * n_states, dtype=float)
+                fscratch = np.empty(FSCRATCH_PER_STATE * n_states, dtype=float)
                 iscratch = np.empty(n_states, dtype=np.int64)
                 m_star = kern(
                     phi,
@@ -67,6 +68,84 @@ class TestEmaDpParity:
                 )
                 outs.append((int(m_star), phi.tobytes(), rows.tobytes()))
             assert outs[0] == outs[1]
+
+    def test_randomized_wide(self, alt):
+        # Up to ~300 states with windows up to n_states: the doubling
+        # minimum's deep passes and its +inf padding at full width.
+        k_np, k_alt = resolve_pair("ema_dp", alt)
+        rng = np.random.default_rng(17)
+        for _ in range(RNG_TRIALS):
+            n_users = int(rng.integers(1, 8))
+            n_active = int(rng.integers(1, n_users + 1))
+            n_states = int(rng.integers(1, 301))
+            active_idx = np.sort(
+                rng.choice(n_users, size=n_active, replace=False)
+            ).astype(np.int64)
+            w_eff = rng.integers(0, n_states + 1, size=n_active).astype(np.int64)
+            w_eff[rng.random(n_active) < 0.3] = n_states
+            coeffs = (
+                rng.normal(0.0, 5.0, size=n_active),
+                rng.uniform(0.0, 10.0, size=n_active),
+                rng.uniform(0.0, 5.0, size=n_active),
+            )
+            outs = [
+                run_ema_dp(kern, n_users, active_idx, w_eff, *coeffs, n_states)
+                for kern in (k_np, k_alt)
+            ]
+            assert outs[0] == outs[1]
+
+    def test_non_finite_slope_lanes(self, alt):
+        # The schedulers give a lane with a non-finite slope w_eff = 0;
+        # both kernels must then skip it alike, whatever the slope holds.
+        k_np, k_alt = resolve_pair("ema_dp", alt)
+        rng = np.random.default_rng(19)
+        for _ in range(RNG_TRIALS):
+            n_active = int(rng.integers(1, 8))
+            n_states = int(rng.integers(1, 60))
+            active_idx = np.arange(n_active, dtype=np.int64)
+            w_eff = rng.integers(1, n_states + 1, size=n_active).astype(np.int64)
+            slope = rng.normal(0.0, 5.0, size=n_active)
+            bad = rng.random(n_active) < 0.4
+            slope[bad] = rng.choice([np.nan, np.inf, -np.inf], size=int(bad.sum()))
+            w_eff[bad] = 0
+            const = rng.uniform(0.0, 10.0, size=n_active)
+            idle = rng.uniform(0.0, 5.0, size=n_active)
+            outs = [
+                run_ema_dp(kern, n_active, active_idx, w_eff, slope, const, idle, n_states)
+                for kern in (k_np, k_alt)
+            ]
+            assert outs[0] == outs[1]
+        # The three-user case the schedulers used to send with w = 2.
+        w_eff = np.array([2, 0, 2], dtype=np.int64)
+        for mid in (np.nan, np.inf, -np.inf):
+            slope = np.array([-1.0, mid, -2.0])
+            outs = [
+                run_ema_dp(kern, 3, np.arange(3), w_eff, slope, np.zeros(3), np.ones(3), 6)
+                for kern in (k_np, k_alt)
+            ]
+            assert outs[0] == outs[1]
+            assert outs[0][0] == 4
+
+
+def run_ema_dp(kern, n_users, active_idx, w_eff, slope, const, idle, n_states):
+    """One ``ema_dp`` call on fresh buffers: ``(m*, phi bytes, rows bytes)``."""
+    n_active = active_idx.size
+    phi = np.zeros(n_users, dtype=np.int64)
+    rows = np.empty((n_active, n_states), dtype=float)
+    m_star = kern(
+        phi,
+        active_idx.astype(np.int64),
+        w_eff,
+        w_eff - w_eff // 2 - 1,
+        slope,
+        const,
+        idle,
+        rows,
+        np.arange(n_states, dtype=float),
+        np.empty(FSCRATCH_PER_STATE * n_states, dtype=float),
+        np.empty(n_states, dtype=np.int64),
+    )
+    return int(m_star), phi.tobytes(), rows.tobytes()
 
 
 @pytest.mark.parametrize("alt", ALT_BACKENDS)
