@@ -70,7 +70,7 @@ from repro.kernels import registry as kernel_registry
 from repro.kernels.ema_dp import FSCRATCH_PER_STATE, window_min
 from repro.net.gateway import SlotObservation
 
-__all__ = ["EMAScheduler", "FALLBACK", "trailing_window_min"]
+__all__ = ["EMAScheduler", "FALLBACK", "publish_queue_gauges", "trailing_window_min"]
 
 #: Path name of a slot the closed form could not certify (the DP ran).
 FALLBACK = "fallback"
@@ -79,6 +79,12 @@ FALLBACK = "fallback"
 def _new_solver_counts() -> dict[str, int]:
     """Zeroed per-run solver path tallies (see ``EMAScheduler.solver_counts``)."""
     return {CLOSED: 0, CERTIFIED: 0, FALLBACK: 0, "fallback_cells": 0}
+
+
+def publish_queue_gauges(metrics, pc: np.ndarray) -> None:
+    """Set the ``ema.virtual_queues*`` gauges from the queue vector ``pc``."""
+    metrics.gauge("ema.virtual_queues").set(pc.copy())
+    metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
 
 
 def trailing_window_min(values: np.ndarray, window: int) -> np.ndarray:
@@ -383,8 +389,7 @@ class EMAScheduler(Scheduler):
             # Lyapunov policies are diagnosed through their virtual-queue
             # trajectories: publish PC_i(n) after every update.
             pc = self.queues.values
-            instr.metrics.gauge("ema.virtual_queues").set(pc.copy())
-            instr.metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
+            publish_queue_gauges(instr.metrics, pc)
             if instr.tracer.enabled:
                 instr.tracer.emit(
                     "ema.queues", slot=int(obs.slot), v=self.v_param, pc_s=pc.copy()

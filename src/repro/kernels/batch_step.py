@@ -12,12 +12,14 @@ The two cross-user kernels are different: the EMA DP couples every
 active user of a run through the shared unit budget, and RTMA's round
 grants consume a per-run budget in rate order.  Stacking must not let
 one run's allocation see another run's budget, so both get segmented
-variants here that take the per-run segment table and iterate runs
-inside the kernel — one registry dispatch per slot for all R runs
-instead of R dispatches.  Each segment executes the *serial* kernel
-body on contiguous per-run views, which is what makes the batch path
-bit-identical to running each run alone (guarded by
-``tests/integration/test_batch_equivalence.py``).
+variants here that take the per-run segment table — one registry
+dispatch per slot for all R runs instead of R dispatches.  The EMA
+kernels and the RTMA loop kernel run the *serial* kernel body per
+segment on contiguous per-run views; the RTMA numpy kernel runs each
+round for all segments at once with exact int64 per-segment sums.
+Either way the batch path is bit-identical to running each run alone
+(guarded by ``tests/integration/test_batch_equivalence.py`` and
+``tests/kernels/test_rtma_rounds_batch.py``).
 
 The python sources call the serial loop bodies through module-level
 bindings (``maybe_njit(...) or ...``): under Numba the bindings are
@@ -46,25 +48,46 @@ _EMA_INNER = maybe_njit(ema_dp_loops) or ema_dp_loops
 
 
 def rtma_rounds_batch_numpy(phi, eligible, need, cap, order, budgets, run_offsets):
-    """Serial numpy rounds per run segment.
+    """Segmented numpy rounds: every run's round in one pass.
 
     All row arrays are stacked ``(R*N,)``; ``order`` holds *run-local*
     indices (each run's own stable rate argsort), ``budgets`` the
     per-run unit budgets, ``run_offsets`` the ``(R+1,)`` segment
-    bounds.  ``phi`` is updated in place through the segment views.
+    bounds.  ``phi`` is updated in place.
+
+    Each round is :func:`~repro.kernels.rtma_rounds.rtma_rounds_numpy`'s
+    round for all R runs at once: one gather into rate order, one
+    cumsum over the stacked rows with each segment's base subtracted,
+    and one clip of that running demand at the run's remaining budget.
+    A lane's grant is how far its clipped running demand rises past the
+    lane before it, which is the serial ``where(cum <= budget, ...)``
+    grant exactly (int64 throughout).  A run the serial loop would
+    leave — budget spent, or nothing left to take — grants zero in
+    every later round, so the loop ends when a round grants nothing.
     """
-    n_runs = budgets.shape[0]
-    for r in range(n_runs):
-        lo = run_offsets[r]
-        hi = run_offsets[r + 1]
-        rtma_rounds_numpy(
-            phi[lo:hi],
-            eligible[lo:hi],
-            need[lo:hi],
-            cap[lo:hi],
-            order[lo:hi],
-            int(budgets[r]),
+    starts = run_offsets[:-1]
+    lengths = np.diff(run_offsets)
+    n_rows = int(run_offsets[-1])
+    rows = order + np.repeat(starts, lengths)
+    remaining = np.maximum(budgets, 0).astype(np.int64)
+    not_eligible = ~eligible
+    cum = np.zeros(n_rows + 1, dtype=np.int64)
+    while remaining.any():
+        take = np.minimum(need, cap - phi)
+        take[not_eligible] = 0
+        np.maximum(take, 0, out=take)
+        take_sorted = take[rows]
+        np.cumsum(take_sorted, out=cum[1:])
+        seg_base = cum[starts]
+        running = cum[1:] - np.repeat(seg_base, lengths)
+        lane_budget = np.repeat(remaining, lengths)
+        granted = np.minimum(cum[run_offsets[1:]] - seg_base, remaining)
+        if not granted.any():
+            break
+        phi[rows] += np.minimum(running, lane_budget) - np.minimum(
+            running - take_sorted, lane_budget
         )
+        remaining -= granted
     return 0
 
 

@@ -27,10 +27,16 @@ The contract is **bit-identity** with the serial path (guarded by
 
 Compatibility: stacked runs must share ``n_users``, ``n_slots``,
 ``tau_s``, ``delta_kb``, ``buffer_capacity_s``, ``fetch_ahead_kb``,
-the radio profile, the kernel backend, and the scheduler *type*; BS
-capacity, background traffic, seeds, signal models, and per-run
-scheduler parameters (RTMA thresholds, EMA ``V``) may differ.
-Dynamic-lifecycle runs (arrivals/admission) cannot be stacked.
+the radio profile, and the kernel backend; BS capacity, background
+traffic, seeds, signal models, scheduler parameters (RTMA thresholds,
+EMA ``V``), and even scheduler *types* may differ.  A group of one
+type gets a stacking adapter (segmented RTMA rounds, the stacked EMA
+queues, or one shared baseline instance); a mixed group — a
+comparison, or a calibration's default reference next to its RTMA
+probe — runs each scheduler on its own row views
+(:class:`_SlicedBatch`) while the rest of the slot pipeline stays
+stacked.  Dynamic-lifecycle runs (arrivals/admission), fault plans,
+and one scheduler instance in two runs cannot be stacked.
 :func:`batch_incompatibility` is the single oracle — the executor uses
 it to decide which consecutive tasks may share a batch.
 
@@ -56,7 +62,7 @@ from repro.baselines.onoff import OnOffScheduler
 from repro.baselines.salsa import SalsaScheduler
 from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.allocation import check_constraints
-from repro.core.ema import FALLBACK, EMAScheduler
+from repro.core.ema import FALLBACK, EMAScheduler, publish_queue_gauges
 from repro.core.lyapunov import VirtualQueues
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import Scheduler
@@ -146,10 +152,6 @@ def batch_incompatibility(tasks) -> str | None:
         for t in tasks[1:]:
             if getattr(t.config, name) != v0:
                 return f"config field {name!r} differs across runs"
-    s_type = type(tasks[0].scheduler)
-    for t in tasks[1:]:
-        if type(t.scheduler) is not s_type:
-            return "scheduler types differ across runs"
     if len(tasks) > 1:
         seen_ids = {id(t.scheduler) for t in tasks}
         if len(seen_ids) != len(tasks):
@@ -247,6 +249,8 @@ class BatchPlan:
         scheds = [t.scheduler for t in self.tasks]
         s0 = scheds[0]
         s_type = type(s0)
+        if any(type(s) is not s_type for s in scheds[1:]):
+            return _SlicedBatch(scheds, run_offsets)
         n_per_run = int(run_offsets[1] - run_offsets[0])
         if s_type is RTMAScheduler:
             return _BatchRTMA(scheds, run_offsets)
@@ -927,9 +931,7 @@ class _BatchEMA(Scheduler):
             return
         lo = int(self.run_offsets[-2])
         hi = int(self.run_offsets[-1])
-        pc = self.queues.values[lo:hi].copy()
-        metrics.gauge("ema.virtual_queues").set(pc)
-        metrics.gauge("ema.virtual_queue_max_s").set(float(pc.max()))
+        publish_queue_gauges(metrics, self.queues.values[lo:hi])
 
     def reset(self) -> None:
         self.queues = VirtualQueues(self.n_total, self.tau_s)
@@ -940,14 +942,20 @@ class _BatchEMA(Scheduler):
 
 
 class _SlicedBatch(Scheduler):
-    """Fallback adapter: per-run schedulers on per-run observation views.
+    """Per-run schedulers on per-run observation views.
 
     Always bit-identical for *any* scheduler (including the error it
     would raise): each run's instance sees a plain
     :class:`~repro.net.gateway.SlotObservation` whose arrays are that
     run's contiguous row segment and whose budget/capacity are that
-    run's scalars.  Used when runs carry unequal baseline parameters or
-    a scheduler type the stacking adapters don't know.
+    run's scalars.  Used for groups that mix scheduler types, for runs
+    with unequal baseline parameters, and for scheduler types the
+    stacking adapters don't know.
+
+    The per-run schedulers run unbound, so none writes into the shared
+    registry mid-loop; :meth:`finalize_run` publishes what each would
+    have recorded into its run's own registry, which a pooled worker
+    ships home with the rest of the run's state.
     """
 
     def __init__(self, scheds, run_offsets: np.ndarray):
@@ -959,7 +967,20 @@ class _SlicedBatch(Scheduler):
     def bind_instrumentation(self, instrumentation) -> None:
         self.instrumentation = instrumentation
         for s in self.scheds:
-            s.bind_instrumentation(instrumentation)
+            s.bind_instrumentation(None)
+
+    def finalize_run(self, r: int, metrics) -> None:
+        """Publish run ``r``'s scheduler metrics into its registry.
+
+        EMA's solver counters are its per-run tallies; its queue gauges
+        are last-write-wins, so setting them from every EMA run's final
+        queues leaves the last EMA run's values once the run states
+        merge in task order, as after a serial sequence.
+        """
+        s = self.scheds[r]
+        if isinstance(s, EMAScheduler):
+            s.publish_solver_counts(metrics)
+            publish_queue_gauges(metrics, s.queues.values)
 
     def allocate(self, obs: SlotObservation) -> np.ndarray:
         phi = np.zeros(obs.n_users, dtype=np.int64)

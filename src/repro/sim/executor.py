@@ -359,9 +359,10 @@ class RunExecutor:
         Maximum runs stacked into one :func:`~repro.sim.batch.run_batch`
         slot loop.  ``1`` (default) preserves the historical
         one-``Simulation``-per-task behaviour exactly.  With ``R > 1``,
-        *consecutive* compatible tasks (same shape/scheduler type — see
-        :func:`~repro.sim.batch.batch_incompatibility`) are grouped
-        greedily and each group executes as one stacked run;
+        *consecutive* compatible tasks (same shape, any mix of scheduler
+        types — see :func:`~repro.sim.batch.batch_incompatibility`) are
+        grouped greedily and each group executes as one stacked run, so
+        a comparison of up to ``R`` schedulers is a single group;
         incompatible neighbours simply break the group, so heterogeneous
         batches degrade to serial behaviour instead of failing.
         Composes with ``jobs``: each pool worker receives whole groups,

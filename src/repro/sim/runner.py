@@ -149,11 +149,16 @@ def calibrate_rtma_threshold(
     capacity-shared regimes the realized per-user energy sits well
     below that analytic band, so we recover the threshold the paper's
     conversion is *for* — "do not schedule users whose signal is too
-    weak for the budget" — empirically: bisect the threshold on a
-    shortened run until RTMA's measured PE meets ``alpha`` times the
-    default strategy's PE *on the same horizon* (horizon-consistent,
-    since PE dilutes once sessions complete).  Returns ``-inf`` when
-    unconstrained RTMA already fits the budget.
+    weak for the budget" — empirically: scan a grid of thresholds on a
+    shortened run and keep the weakest one whose measured PE meets
+    ``alpha`` times the default strategy's PE *on the same horizon*
+    (horizon-consistent, since PE dilutes once sessions complete).
+    Returns ``-inf`` when unconstrained RTMA already fits the budget,
+    and the PE-minimizing grid point when no threshold does.
+
+    The default reference and the unconstrained probe always both run,
+    so they go to the executor as one two-run batch; the grid follows
+    only when the probe misses the budget.
     """
     if alpha <= 0:
         raise ConfigurationError("alpha must be positive")
@@ -166,7 +171,15 @@ def calibrate_rtma_threshold(
         wl = workload
     if wl is None:
         wl = generate_workload(cal_cfg)
-    budget = alpha * default_reference(cal_cfg, wl).pe_mj
+    # Inner runs stay on the *ambient* instrumentation, exactly as a
+    # serial run_scheduler call would resolve it.
+    reference, probe = map_runs(
+        [
+            RunTask(cal_cfg, DefaultScheduler(), wl),
+            RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float("-inf")), wl),
+        ]
+    )
+    budget = alpha * reference.pe_mj
     sig_model = cal_cfg.make_signal_model()
 
     def note(threshold: float, pe: float) -> None:
@@ -181,12 +194,6 @@ def calibrate_rtma_threshold(
                     budget_mj=budget,
                 )
 
-    def pe_for(threshold: float) -> float:
-        sched = RTMAScheduler(sig_threshold_dbm=threshold)
-        pe = run_scheduler(cal_cfg, sched, wl).pe_mj
-        note(threshold, pe)
-        return pe
-
     def finish(threshold: float, feasible: bool) -> float:
         if instr is not None:
             instr.profiler.record("calibrate_rtma", time.perf_counter() - started)
@@ -200,7 +207,8 @@ def calibrate_rtma_threshold(
                 )
         return threshold
 
-    if pe_for(float("-inf")) <= budget:
+    note(float("-inf"), probe.pe_mj)
+    if probe.pe_mj <= budget:
         return finish(float("-inf"), True)
     # PE is not monotone in the threshold (a stricter threshold trades
     # transmission energy for extra tail toggling), so scan a grid
@@ -219,9 +227,7 @@ def calibrate_rtma_threshold(
         )
     )
     # Grid points are independent runs on one shared workload — fan
-    # them out through the (possibly parallel) run executor.  Inner
-    # runs stay on the *ambient* instrumentation, exactly as the
-    # serial run_scheduler calls resolved it.
+    # them out through the (possibly parallel) run executor.
     tasks = [
         RunTask(cal_cfg, RTMAScheduler(sig_threshold_dbm=float(t)), wl)
         for t in grid

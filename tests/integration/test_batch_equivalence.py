@@ -15,6 +15,8 @@ Locally this exercises numpy and python backends; CI's numba job adds
 the compiled backend to the same parametrisation automatically.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +36,7 @@ from repro.obs import Instrumentation
 from repro.sim.batch import batch_incompatibility, run_batch
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
-from repro.sim.executor import RunTask
+from repro.sim.executor import RunExecutor, RunTask
 from repro.sim.workload import generate_workload
 
 RESULT_ARRAYS = (
@@ -183,15 +185,6 @@ class TestBatchCompatibilityOracle:
         with pytest.raises(Exception):
             run_batch(tasks)
 
-    def test_mixed_scheduler_types_are_rejected(self):
-        cfgs = [_cfg(1), _cfg(2)]
-        tasks = [
-            RunTask(cfgs[0], RTMAScheduler(sig_threshold_dbm=-95.0),
-                    generate_workload(cfgs[0])),
-            RunTask(cfgs[1], DefaultScheduler(), generate_workload(cfgs[1])),
-        ]
-        assert batch_incompatibility(tasks) is not None
-
     def test_shared_scheduler_instance_is_rejected(self):
         cfgs = [_cfg(1), _cfg(2)]
         shared = RTMAScheduler(sig_threshold_dbm=-95.0)
@@ -201,10 +194,80 @@ class TestBatchCompatibilityOracle:
         assert batch_incompatibility(tasks) is not None
 
 
+def _metrics_bytes(instr):
+    """Every counter, gauge and info value, minus batch/executor bookkeeping."""
+    snap = instr.metrics.snapshot()
+    kept = {
+        section: {
+            k: v
+            for k, v in snap[section].items()
+            if not k.startswith(("batch.", "executor."))
+        }
+        for section in ("counters", "gauges", "info")
+    }
+    return json.dumps(kept, sort_keys=True).encode()
+
+
+class TestMixedSchedulerBatch:
+    """One group holding every scheduler type is invisible too.
+
+    The mixed group runs each scheduler on its own row views inside the
+    stacked slot loop.  Results must match serial byte for byte, and so
+    must the metrics, whether the group runs in-process or in a pool
+    worker that ships each run's metrics home (EMA's solver counters
+    and queue gauges included).
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_all_types_one_group(self, backend):
+        cfg = _cfg(3, n_slots=150, kernel_backend=backend)
+        wl = generate_workload(cfg)
+        names = sorted(SCHEDULERS)
+
+        def tasks():
+            return [RunTask(cfg, SCHEDULERS[name](cfg), wl) for name in names]
+
+        assert batch_incompatibility(tasks()) is None
+        instr_serial = Instrumentation()
+        serial = [
+            Simulation(t.config, t.scheduler, t.workload,
+                       instrumentation=instr_serial).run()
+            for t in tasks()
+        ]
+        instr_batch = Instrumentation()
+        batched = run_batch(tasks(), instrumentation=instr_batch)
+        instr_pool = Instrumentation()
+        pooled = RunExecutor(jobs=2, batch_size=2).map_runs(
+            tasks(), instrumentation=instr_pool
+        )
+        for other, label in ((batched, "run_batch"), (pooled, "pool")):
+            assert len(other) == len(serial)
+            for name, a, b in zip(names, serial, other):
+                assert_results_bit_identical(a, b, f"{label} {name}/{backend}")
+                assert a.summary().as_dict() == b.summary().as_dict(), (
+                    f"{label} {name}/{backend}: summary differs"
+                )
+        want = _metrics_bytes(instr_serial)
+        assert b"ema.solver." in want
+        assert _metrics_bytes(instr_batch) == want
+        assert _metrics_bytes(instr_pool) == want
+        assert instr_batch.metrics.snapshot()["counters"]["batch.runs"] == len(names)
+
+
 # --- partition invariance ------------------------------------------------
 
 _PARTITION_SEEDS = (0, 1, 2, 3, 4, 5)
+#: One scheduler per seed: partitions cut this sequence into homogeneous
+#: groups (stacking adapters) and mixed ones (per-run row views).
+_PARTITION_SCHEDULERS = ("rtma", "rtma", "default", "ema", "ema", "on-off")
 _PARTITION_REFERENCE = None
+
+
+def _partition_tasks(configs, names):
+    return [
+        RunTask(cfg, SCHEDULERS[name](cfg), generate_workload(cfg))
+        for cfg, name in zip(configs, names)
+    ]
 
 
 def _partition_reference():
@@ -218,7 +281,7 @@ def _partition_reference():
         ]
         serial = [
             Simulation(t.config, t.scheduler, t.workload).run()
-            for t in _tasks(SCHEDULERS["rtma"], configs)
+            for t in _partition_tasks(configs, _PARTITION_SCHEDULERS)
         ]
         _PARTITION_REFERENCE = (
             configs,
@@ -253,7 +316,9 @@ class TestPartitionInvariance:
         configs, expected = _partition_reference()
         results = []
         for lo, hi in partition:
-            group = _tasks(SCHEDULERS["rtma"], configs[lo:hi])
+            group = _partition_tasks(
+                configs[lo:hi], _PARTITION_SCHEDULERS[lo:hi]
+            )
             if len(group) == 1:
                 t = group[0]
                 results.append(
