@@ -1,8 +1,8 @@
 """Admission control for arriving streaming sessions.
 
-When the dynamic session-lifecycle engine sees a session arrive it
-consults an :class:`AdmissionPolicy` before granting the session a
-fleet row.  Rejected sessions never receive data units and are
+When a churn run's engine sees a session arrive it consults an
+:class:`AdmissionPolicy` before granting the session a fleet row.
+Rejected sessions never receive data units and are
 reported separately from admitted load (offered vs admitted split in
 summaries), following the admission-control framing of Bethanabhotla
 et al. (arXiv:1305.3586) where the scheduler and the admission rule

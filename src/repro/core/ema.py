@@ -411,9 +411,9 @@ class EMAScheduler(Scheduler):
 
         Existing rows keep their ``PC_i`` and seeding flag bit-for-bit;
         new rows come up zeroed/unseeded like a fresh run (they seed at
-        their first active slot via :meth:`_seed_queues`).  The dynamic
-        engine may also shrink once at run start — before any state has
-        accrued — to match its small initial capacity.
+        their first active slot via :meth:`_seed_queues`).  A churn run
+        may also shrink it once at run start — before any state has
+        accrued — to match the engine's small initial capacity.
         """
         n = int(n_users)
         if n <= 0:

@@ -67,13 +67,14 @@ class Scheduler(abc.ABC):
         """Clear internal state before a fresh run (default: no-op)."""
 
     def grow_users(self, n_users: int) -> None:
-        """Resize per-user state to ``n_users`` rows (dynamic lifecycle).
+        """Resize per-user state to ``n_users`` rows (churn runs).
 
-        Called by the dynamic engine whenever the fleet's row capacity
-        changes.  Stateful policies must preserve the state of the
-        common row prefix bit-for-bit and initialise new rows exactly
-        like a fresh run; the one shrink happens at run start, before
-        any state accrues.  Stateless policies (and policies whose
+        Called by the engine whenever a churn run's row capacity
+        changes (zero-churn runs keep ``n_users`` rows throughout).
+        Stateful policies must preserve the state of the common row
+        prefix bit-for-bit and initialise new rows exactly like a fresh
+        run; the one shrink happens at run start, before any state
+        accrues.  Stateless policies (and policies whose
         scratch auto-sizes to the observation) inherit this no-op.
         """
 

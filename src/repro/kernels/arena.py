@@ -33,12 +33,12 @@ class SlotArena:
     ``drained_kb``, ``tx_mask``) and two generic temporaries
     (``f8_tmp``, ``b1_tmp``) for intermediate ufunc chains.
 
-    The dynamic session-lifecycle engine additionally uses four
-    row-space buffers that survive the whole slot (``sig_dbm``,
-    ``rebuf_s``, ``trans_mj``, ``tail_mj``) — the generic temporaries
-    are clobbered inside ``collect_fleet`` — and can :meth:`grow` the
-    arena in lockstep with the fleet so kernels stay allocation-free
-    once the population stops growing.
+    When rows and sessions do not coincide (churn runs), the engine
+    additionally uses four row-space buffers that survive the whole
+    slot (``sig_dbm``, ``rebuf_s``, ``trans_mj``, ``tail_mj``) — the
+    generic temporaries are clobbered inside ``collect_fleet`` — and
+    can :meth:`grow` the arena in lockstep with the fleet so kernels
+    stay allocation-free once the population stops growing.
     """
 
     def __init__(self, n_users: int):

@@ -8,7 +8,8 @@
   tracking elapsed vs. total playback time (``m_i`` / ``M_i``);
 * :mod:`repro.media.fleet` — the struct-of-arrays :class:`ClientFleet`
   driving all clients of a cell in vectorized lockstep (the engine's
-  default hot path), bit-identical to the per-object recursion.
+  client state), bit-identical row by row to :class:`StreamingClient`,
+  which stays as its per-row reference.
 """
 
 from repro.media.video import BitrateProfile, ConstantBitrateProfile, PiecewiseBitrateProfile, VideoSession

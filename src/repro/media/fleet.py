@@ -20,11 +20,18 @@ per-slot recursions to all users at once:
 Every element-wise operation mirrors the scalar arithmetic of
 :class:`~repro.media.player.StreamingClient` /
 :class:`~repro.media.buffer.PlaybackBuffer` *exactly* (same operations
-in the same order), so a fleet-path simulation is bit-identical to the
-per-object path — the contract `tests/integration/test_fleet_equivalence.py`
-enforces.  State arrays are **rebound, never mutated in place**, which
+in the same order), so each fleet row evolves bit-for-bit like one
+``StreamingClient`` — the per-row oracle
+`tests/integration/test_fleet_equivalence.py` drives with random
+offers.  State arrays are **rebound, never mutated in place**, which
 lets :class:`~repro.net.gateway.SlotObservation` snapshots alias them
 safely.
+
+The fleet is also the engine's growable row space: rows are loaded
+with admitted sessions (:meth:`ClientFleet.load_rows`), vacated on
+retirement (:meth:`ClientFleet.clear_rows`), and doubled on demand
+(:meth:`ClientFleet.grow`); the rate table is rebuilt lazily, once per
+batch of row changes.
 
 :class:`FleetClientView` is a thin per-user window onto the arrays with
 the read API of :class:`StreamingClient`, so code written against
@@ -174,7 +181,9 @@ class ClientFleet:
         self.size_kb = np.array([f.video.size_kb for f in flows], dtype=float)
         self.arrival_slot = np.array([f.arrival_slot for f in flows], dtype=np.int64)
         self._profiles = [f.video.profile for f in flows]
-        self._rates = _RateTable(self._profiles)
+        #: Built on first use and dropped whenever rows are loaded or
+        #: cleared, so a slot's admissions cost one rebuild.
+        self._rates: _RateTable | None = None
 
         #: Total media bytes received so far (KB).
         self.delivered_kb = np.zeros(n, dtype=float)
@@ -213,7 +222,7 @@ class ClientFleet:
         self._begin_kernel = None
         self._deliver_kernel = None
 
-    # -- dynamic-population support (growable row space) ----------------------
+    # -- growable row space (session admission and retirement) ---------------
 
     @classmethod
     def with_capacity(
@@ -221,20 +230,15 @@ class ClientFleet:
     ) -> "ClientFleet":
         """An all-vacant fleet of ``capacity`` rows.
 
-        The dynamic engine starts small and loads rows as sessions are
-        admitted (:meth:`load_row`), doubling via :meth:`grow` when the
-        free list runs dry.
+        The engine loads rows as sessions are admitted (:meth:`load_rows`)
+        and doubles via :meth:`grow` when the free list runs dry.
         """
         if capacity <= 0:
             raise ConfigurationError("capacity must be positive")
         placeholder = _placeholder_video()
-        flows = [
-            _VacantRowFlow(user_id=i, video=placeholder) for i in range(capacity)
-        ]
+        flows = [_VacantRowFlow(user_id=-1, video=placeholder)] * capacity
         fleet = cls(flows, tau_s, buffer_capacity_s)
-        for row in range(capacity):
-            fleet._clear_row_state(row)
-        fleet._rates = _RateTable(fleet._profiles)
+        fleet.clear_rows(np.arange(capacity))
         return fleet
 
     def grow(self, new_capacity: int) -> None:
@@ -280,43 +284,50 @@ class ClientFleet:
         self._bscratch = np.empty(4 * new_capacity, dtype=bool)
         self.n_users = new_capacity
         self._views = None
-        for row in range(old, new_capacity):
-            self._clear_row_state(row)
-        self._rates = _RateTable(self._profiles)
+        self.clear_rows(np.arange(old, new_capacity))
 
-    def load_row(self, row: int, flow) -> None:
-        """Bind a freshly admitted session's flow to a vacant row."""
-        self.videos[row] = flow.video
-        self._profiles[row] = flow.video.profile
-        self.size_kb[row] = float(flow.video.size_kb)
-        self.arrival_slot[row] = int(flow.arrival_slot)
-        self._zero_row_state(row)
-        self._rates = _RateTable(self._profiles)
+    def load_rows(self, rows, flows) -> None:
+        """Bind freshly admitted sessions' flows to vacant rows.
 
-    def clear_row(self, row: int) -> None:
-        """Vacate a row (session departed); it can be recycled later."""
-        self._clear_row_state(row)
-        self._rates = _RateTable(self._profiles)
+        One call per slot covers every admission: one vectorised state
+        reset, and the rate table is rebuilt once, on the next
+        :meth:`rates_for_slot`.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        sizes, arrivals = [], []
+        for row, flow in zip(rows.tolist(), flows):
+            video = flow.video
+            self.videos[row] = video
+            self._profiles[row] = video.profile
+            sizes.append(video.size_kb)
+            arrivals.append(flow.arrival_slot)
+        self.size_kb[rows] = sizes
+        self.arrival_slot[rows] = arrivals
+        self._zero_rows(rows)
 
-    def _clear_row_state(self, row: int) -> None:
+    def clear_rows(self, rows) -> None:
+        """Vacate rows (sessions departed); they can be recycled later."""
+        rows = np.asarray(rows, dtype=np.intp)
         placeholder = _placeholder_video()
-        self.videos[row] = placeholder
-        self._profiles[row] = placeholder.profile
-        self.size_kb[row] = 0.0
-        self.arrival_slot[row] = _FAR_FUTURE
-        self._zero_row_state(row)
+        for row in rows.tolist():
+            self.videos[row] = placeholder
+            self._profiles[row] = placeholder.profile
+        self.size_kb[rows] = 0.0
+        self.arrival_slot[rows] = _FAR_FUTURE
+        self._zero_rows(rows)
 
-    def _zero_row_state(self, row: int) -> None:
+    def _zero_rows(self, rows: np.ndarray) -> None:
         # Row loads/clears happen between slots (before the collect
         # phase aliases the arrays), so in-place writes are safe here.
-        self.delivered_kb[row] = 0.0
-        self.delivered_playback_s[row] = 0.0
-        self.elapsed_playback_s[row] = 0.0
-        self.total_rebuffering_s[row] = 0.0
-        self.buffer_occupancy_s[row] = 0.0
-        self.pending_playback_s[row] = 0.0
-        self.last_slot_rebuffering_s[row] = 0.0
-        self._began[row] = False
+        self.delivered_kb[rows] = 0.0
+        self.delivered_playback_s[rows] = 0.0
+        self.elapsed_playback_s[rows] = 0.0
+        self.total_rebuffering_s[rows] = 0.0
+        self.buffer_occupancy_s[rows] = 0.0
+        self.pending_playback_s[rows] = 0.0
+        self.last_slot_rebuffering_s[rows] = 0.0
+        self._began[rows] = False
+        self._rates = None
 
     # -- progress predicates (all shape (n_users,)) --------------------------
 
@@ -348,7 +359,10 @@ class ClientFleet:
 
     def rates_for_slot(self, slot: int) -> np.ndarray:
         """Required data rates ``p_i(slot)`` (KB/s).  Do not mutate."""
-        return self._rates.rates_for_slot(slot)
+        rates = self._rates
+        if rates is None:
+            rates = self._rates = _RateTable(self._profiles)
+        return rates.rates_for_slot(slot)
 
     def receivable_kb(self, slot: int) -> np.ndarray:
         """Receiver windows: media bytes each client can accept this slot."""

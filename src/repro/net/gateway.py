@@ -12,6 +12,9 @@ Four components sit between the Internet and the base station:
 * :class:`DataTransmitter` — pushes the allocated shards to clients,
   truncating to what the receiver queues actually hold.
 
+Client state is always a :class:`~repro.media.fleet.ClientFleet`
+(one row per resident session).
+
 :class:`Gateway` wires them together; the simulation engine drives one
 :meth:`Gateway.step` per slot.
 """
@@ -24,7 +27,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.media.player import StreamingClient
 from repro.net.basestation import BaseStation
 from repro.net.dpi import DPIInspector
 from repro.net.flows import VideoFlow
@@ -75,11 +77,11 @@ class SlotObservation:
     #: Receiver window: bytes each client can accept this slot, KB
     #: (inf for uncapped buffers).
     receivable_kb: np.ndarray = None  # type: ignore[assignment]
-    #: Rows whose session was admitted this slot (dynamic lifecycle
-    #: runs only; ``None`` on fixed-population runs).
+    #: Rows whose session was admitted this slot (churn runs only;
+    #: ``None`` on zero-churn runs).
     joined: np.ndarray | None = None
-    #: Rows vacated since the previous slot (dynamic lifecycle runs
-    #: only; ``None`` on fixed-population runs).
+    #: Rows vacated since the previous slot (churn runs only; ``None``
+    #: on zero-churn runs).
     departed: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -195,51 +197,6 @@ class InformationCollector:
     def __init__(self, dpi: DPIInspector | None = None):
         self.dpi = dpi if dpi is not None else DPIInspector()
 
-    def collect(
-        self,
-        slot: int,
-        sig_row: np.ndarray,
-        flows: list[VideoFlow],
-        clients: list[StreamingClient],
-        bs: BaseStation,
-        slicer: ResourceSlicer,
-        throughput_model,
-        power_model,
-        idle_tail_cost_mj: np.ndarray,
-    ) -> SlotObservation:
-        n = len(flows)
-        if len(clients) != n or np.asarray(sig_row).shape != (n,):
-            raise SimulationError("inconsistent per-user array lengths")
-        sig = np.asarray(sig_row, dtype=float)
-        rates = self.dpi.required_rates_kbps(flows, slot)
-        raw_cap = bs.capacity_kbps(slot)
-        video_cap = slicer.video_capacity_kbps(raw_cap, slot)
-        unit_budget = int(np.floor(bs.tau_s * video_cap / bs.delta_kb))
-        link_units = throughput_model.max_units(sig, bs.tau_s, bs.delta_kb)
-        active = np.array(
-            [f.active_at(slot) and c.needs_data for f, c in zip(flows, clients)],
-            dtype=bool,
-        )
-        buffer_s = np.array([c.buffer_occupancy_s for c in clients], dtype=float)
-        remaining = np.array([c.remaining_kb for c in clients], dtype=float)
-        receivable = np.array([c.receivable_kb(slot) for c in clients], dtype=float)
-        return SlotObservation(
-            slot=slot,
-            tau_s=bs.tau_s,
-            delta_kb=bs.delta_kb,
-            capacity_kbps=video_cap,
-            unit_budget=unit_budget,
-            sig_dbm=sig,
-            rate_kbps=rates,
-            link_units=link_units,
-            p_mj_per_kb=np.asarray(power_model.p(sig), dtype=float),
-            active=active,
-            buffer_s=buffer_s,
-            remaining_kb=remaining,
-            idle_tail_cost_mj=np.asarray(idle_tail_cost_mj, dtype=float),
-            receivable_kb=receivable,
-        )
-
     def collect_fleet(
         self,
         slot: int,
@@ -255,12 +212,12 @@ class InformationCollector:
         joined: np.ndarray | None = None,
         departed: np.ndarray | None = None,
     ) -> SlotObservation:
-        """:meth:`collect`, reading a :class:`~repro.media.fleet.ClientFleet`.
+        """The slot's observation, read from a :class:`~repro.media.fleet.ClientFleet`.
 
-        Identical observation, no per-user Python loops: client
-        feedback comes straight from the fleet's state arrays and the
-        DPI rates from its vectorized profile lookup.  Safe without
-        copies because the fleet rebinds (never mutates) its arrays.
+        No per-user Python loops: client feedback comes straight from
+        the fleet's state arrays and the DPI rates from its vectorized
+        profile lookup.  Safe without copies because the fleet rebinds
+        (never mutates) its arrays.
 
         With a :class:`~repro.kernels.arena.SlotArena` the per-user
         observation arrays are written into the arena's reused buffers
@@ -373,40 +330,6 @@ class InformationCollector:
 class DataTransmitter:
     """Delivers allocated shards to clients, bounded by receiver queues."""
 
-    def transmit(
-        self,
-        allocation_units: np.ndarray,
-        obs: SlotObservation,
-        receiver: DataReceiver,
-        clients: list[StreamingClient],
-        stall_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Send ``phi_i(n) * delta`` KB to each client.
-
-        Returns the KB actually accepted per user (after receiver-queue
-        and session-remaining truncation).  ``stall_mask`` marks users
-        whose delivery path is stalled this slot (fault injection):
-        their offer is zeroed — allocated frames go untransmitted and
-        the queued bytes stay buffered at the gateway.
-        """
-        phi = np.asarray(allocation_units)
-        if phi.shape != (len(clients),):
-            raise SimulationError("allocation has wrong shape")
-        if np.any(phi < 0):
-            raise SimulationError("allocation must be non-negative")
-        want_kb = phi.astype(float) * obs.delta_kb
-        offer_kb = np.minimum(want_kb, receiver.queued_kb)
-        if stall_mask is not None:
-            offer_kb[stall_mask] = 0.0
-        accepted = np.zeros(len(clients), dtype=float)
-        for i, client in enumerate(clients):
-            if offer_kb[i] > 0:
-                accepted[i] = client.deliver(offer_kb[i], obs.slot)
-        # Only bytes the client's receiver window accepted leave the
-        # gateway queue; the rest stays buffered (flow control, not loss).
-        receiver.drain(accepted)
-        return accepted
-
     def transmit_fleet(
         self,
         allocation_units: np.ndarray,
@@ -416,7 +339,14 @@ class DataTransmitter:
         arena=None,
         stall_mask: np.ndarray | None = None,
     ) -> np.ndarray:
-        """:meth:`transmit` against a :class:`~repro.media.fleet.ClientFleet`.
+        """Send ``phi_i(n) * delta`` KB to each client of ``fleet``.
+
+        Returns the KB actually accepted per user (after receiver-queue
+        and session-remaining truncation); only accepted bytes leave the
+        gateway queue, the rest stays buffered (flow control, not loss).
+        ``stall_mask`` marks users whose delivery path is stalled this
+        slot (fault injection): their offer is zeroed — allocated frames
+        go untransmitted and the queued bytes stay at the gateway.
 
         With a :class:`~repro.kernels.arena.SlotArena` the offer and
         accepted vectors live in the arena's reused buffers (the
@@ -473,12 +403,11 @@ class Gateway:
         slot: int,
         sig_row: np.ndarray,
         flows: list[VideoFlow],
-        clients: list[StreamingClient] | None,
+        fleet,
         throughput_model,
         power_model,
         idle_tail_cost_mj: np.ndarray,
         instrumentation=None,
-        fleet=None,
         arena=None,
         joined_mask: np.ndarray | None = None,
         departed_mask: np.ndarray | None = None,
@@ -488,13 +417,9 @@ class Gateway:
 
         Returns ``(observation, allocation_units, delivered_kb)``.
 
-        Client state comes either from a list of per-user
-        :class:`~repro.media.player.StreamingClient` objects or — on
-        the engine's vectorized path — from a
-        :class:`~repro.media.fleet.ClientFleet` passed as ``fleet``
-        (in which case ``clients`` is ignored).  Both paths produce
-        bit-identical observations and deliveries.  A
-        :class:`~repro.kernels.arena.SlotArena` makes the fleet path
+        Client state comes from the
+        :class:`~repro.media.fleet.ClientFleet` ``fleet``.  A
+        :class:`~repro.kernels.arena.SlotArena` makes the step
         allocation-free (observation arrays and transmit scratch are
         written into the arena's reused buffers).
 
@@ -525,33 +450,20 @@ class Gateway:
             _, rec_observe, rec_schedule, rec_transmit = cache
             _pc = perf_counter
             _t0 = _pc()
-        if fleet is not None:
-            obs = self.collector.collect_fleet(
-                slot,
-                sig_row,
-                flows,
-                fleet,
-                self.bs,
-                self.slicer,
-                throughput_model,
-                power_model,
-                idle_tail_cost_mj,
-                arena=arena,
-                joined=joined_mask,
-                departed=departed_mask,
-            )
-        else:
-            obs = self.collector.collect(
-                slot,
-                sig_row,
-                flows,
-                clients,
-                self.bs,
-                self.slicer,
-                throughput_model,
-                power_model,
-                idle_tail_cost_mj,
-            )
+        obs = self.collector.collect_fleet(
+            slot,
+            sig_row,
+            flows,
+            fleet,
+            self.bs,
+            self.slicer,
+            throughput_model,
+            power_model,
+            idle_tail_cost_mj,
+            arena=arena,
+            joined=joined_mask,
+            departed=departed_mask,
+        )
         self.receiver.refill(obs.remaining_kb)
         if timed:
             _t1 = _pc()
@@ -560,14 +472,9 @@ class Gateway:
         if timed:
             _t2 = _pc()
             rec_schedule(_t2 - _t1)
-        if fleet is not None:
-            delivered_kb = self.transmitter.transmit_fleet(
-                phi, obs, self.receiver, fleet, arena=arena, stall_mask=stall_mask
-            )
-        else:
-            delivered_kb = self.transmitter.transmit(
-                phi, obs, self.receiver, clients, stall_mask=stall_mask
-            )
+        delivered_kb = self.transmitter.transmit_fleet(
+            phi, obs, self.receiver, fleet, arena=arena, stall_mask=stall_mask
+        )
         if timed:
             rec_transmit(_pc() - _t2)
         return obs, phi, delivered_kb

@@ -166,11 +166,13 @@ class RunTimeline:
     totals: dict[str, np.ndarray] = field(default_factory=dict)
     grids: dict[str, np.ndarray] = field(default_factory=dict)
     #: Slots at which ``ema.queues`` snapshots were taken, and the
-    #: snapshots themselves, shape ``(len(slots), n_users)``.
+    #: snapshots themselves, shape ``(len(slots), n_users)`` — keyed by
+    #: session on churn runs too (mapped from the row-space payloads
+    #: through the ``session.start``/``session.end`` rows).
     ema_queue_slots: np.ndarray | None = None
     ema_queues: np.ndarray | None = None
     #: Session lifecycle events (``session.start`` / ``session.reject``
-    #: / ``session.end``) in trace order; empty for fixed-population
+    #: / ``session.end``) in trace order; empty for zero-churn
     #: runs, which emit none.
     sessions: list[dict[str, Any]] = field(default_factory=list)
     #: The ``run.start`` event's ``faults`` spec (a
@@ -238,7 +240,7 @@ class RunTimeline:
     def energy_split_mj(self) -> dict[str, float] | None:
         """Run-total energy split: transmission vs DCH-tail vs FACH-tail.
 
-        ``None`` on dynamic runs: the split is reconstructed from the
+        ``None`` on churn runs: the split is reconstructed from the
         transmission history assuming every user rides its tail to the
         end, but retirement cuts tails short, so the reconstruction
         over-counts.
@@ -355,6 +357,39 @@ class _RunBuilder:
         if users is not None:
             self.user_rows.append(users)
 
+    def _session_queues(self, n_users: int) -> np.ndarray:
+        """Churn runs snapshot EMA queues in row space, whose width
+        grows with capacity: map each snapshot onto session columns.
+
+        A session owns the row named by its ``session.start`` from that
+        slot through its ``session.end`` slot (the snapshot is taken in
+        the scheduler's feedback step, before the slot's retirements).
+        Outside its residency a column holds its last value (zero
+        before the start), which the Eq. (16) recomputation treats as
+        an inactive, unchanged queue.
+        """
+        starts = [e for e in self.session_rows if e.get("kind") == "session.start"]
+        ends = {
+            int(e["user"]): int(e["slot"])
+            for e in self.session_rows
+            if e.get("kind") == "session.end"
+        }
+        users = np.array([int(e["user"]) for e in starts], dtype=np.int64)
+        rows = np.array([int(e["row"]) for e in starts], dtype=np.int64)
+        first = np.array([int(e["slot"]) for e in starts], dtype=np.int64)
+        last = np.array(
+            [ends.get(int(u), np.iinfo(np.int64).max) for u in users],
+            dtype=np.int64,
+        )
+        out = np.zeros((len(self.queue_rows), n_users), dtype=float)
+        col = np.zeros(n_users, dtype=float)
+        for j, (slot, pc) in enumerate(self.queue_rows):
+            pc = _row(pc, float)
+            resident = (first <= slot) & (slot <= last)
+            col[users[resident]] = pc[rows[resident]]
+            out[j] = col
+        return out
+
     def finalize(self) -> RunTimeline | None:
         if not self.slot_rows and self.timeline.scheduler is None:
             return None
@@ -371,14 +406,12 @@ class _RunBuilder:
                 )
             tl.n_users = tl.grids[next(iter(tl.grids))].shape[1]
         if self.queue_rows:
-            # Dynamic runs snapshot EMA queues in row space, whose
-            # capacity grows mid-run — ragged rows cannot stack (and
-            # would not align with session-keyed grids anyway).
-            widths = {len(pc) for _, pc in self.queue_rows}
-            if len(widths) == 1:
-                tl.ema_queue_slots = np.array(
-                    [s for s, _ in self.queue_rows], dtype=np.int64
-                )
+            tl.ema_queue_slots = np.array(
+                [s for s, _ in self.queue_rows], dtype=np.int64
+            )
+            if self.session_rows:
+                tl.ema_queues = self._session_queues(tl.n_users)
+            else:
                 tl.ema_queues = np.stack(
                     [_row(pc, float) for _, pc in self.queue_rows]
                 )
@@ -675,6 +708,12 @@ class EMAQueueChecker(InvariantChecker):
     ``B/V`` trade-off rests on.  Queue-seeding slots (each user's first
     active slot, where EMA applies its place-holder backlog) are
     excluded — the seed is a policy choice, not an Eq. (16) step.
+
+    Churn runs are checked too: their row-space snapshots are mapped
+    onto session columns when the timeline is built (see
+    ``RunTimeline.ema_queues``).  Only the energy-split reconstruction
+    (:meth:`RunTimeline.energy_split_mj`) still skips churn runs, since
+    retirement cuts RRC tails short.
     """
 
     name = "ema.virtual_queues"
@@ -683,11 +722,6 @@ class EMAQueueChecker(InvariantChecker):
         self.tol = tol
 
     def skip_reason(self, tl: RunTimeline) -> str | None:
-        if tl.sessions:
-            return (
-                "dynamic run: EMA queues are snapshotted in row space and "
-                "do not align with the session-keyed grids"
-            )
         if tl.ema_queues is None:
             return "run has no ema.queues snapshots"
         if not {"delivered_kb", "rate_kbps", "active"} <= tl.grids.keys():
@@ -754,7 +788,7 @@ class EMAQueueChecker(InvariantChecker):
 
 
 class SessionConservationChecker(InvariantChecker):
-    """Dynamic-run session conservation.
+    """Churn-run session conservation.
 
     Three families of checks, all driven by the ``session.start`` /
     ``session.reject`` / ``session.end`` lifecycle events:
@@ -905,11 +939,6 @@ class FaultInjectionChecker(InvariantChecker):
     def skip_reason(self, tl: RunTimeline) -> str | None:
         if tl.faults is None:
             return "run declares no fault plan"
-        if tl.sessions:
-            return (
-                "dynamic run: grids are row-keyed while fault windows "
-                "name sessions"
-            )
         if not tl.has_user_grids:
             return "trace has no per-user grids"
         return None

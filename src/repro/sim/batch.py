@@ -35,7 +35,7 @@ queues, or one shared baseline instance); a mixed group — a
 comparison, or a calibration's default reference next to its RTMA
 probe — runs each scheduler on its own row views
 (:class:`_SlicedBatch`) while the rest of the slot pipeline stays
-stacked.  Dynamic-lifecycle runs (arrivals/admission), fault plans,
+stacked.  Churn runs (arrivals/admission), fault plans,
 and one scheduler instance in two runs cannot be stacked.
 :func:`batch_incompatibility` is the single oracle — the executor uses
 it to decide which consecutive tasks may share a batch.
@@ -51,7 +51,6 @@ transparently falls back to the serial engine when either is attached.
 from __future__ import annotations
 
 import logging
-import os
 from time import perf_counter
 
 import numpy as np
@@ -128,8 +127,6 @@ def batch_incompatibility(tasks) -> str | None:
     tasks = list(tasks)
     if not tasks:
         return "empty task list"
-    if os.environ.get("REPRO_SIM_PATH", "fleet") != "fleet":
-        return "REPRO_SIM_PATH selects the object path (batching needs the fleet)"
     cfg0 = tasks[0].config
     for t in tasks:
         if t.config.has_churn:

@@ -79,8 +79,7 @@ class SimConfig:
         ``"budget-aware"`` (admit while every active session can still
         be guaranteed ``admission_min_units_per_user`` data units of
         the nominal per-slot budget).  Anything except the default
-        routes the run through the dynamic session-lifecycle engine
-        (see :attr:`has_churn`).
+        turns on session churn (see :attr:`has_churn`).
     admission_max_active:
         Concurrent-session cap for ``admission="capacity-threshold"``.
     admission_min_units_per_user:
@@ -233,12 +232,15 @@ class SimConfig:
 
     @property
     def has_churn(self) -> bool:
-        """Whether the run needs the dynamic session-lifecycle engine.
+        """Whether sessions arrive, get admitted, and retire over time.
 
-        The default ``all_at_zero`` + ``accept-all`` combination takes
-        the historical fixed-population path and stays bit-identical to
-        every prior release; anything else routes through the growable
-        fleet with admission control and session retirement.
+        The default ``all_at_zero`` + ``accept-all`` combination is the
+        paper's fixed population: the engine's one slot loop gives
+        session ``i`` row ``i`` at slot 0, never retires it, and emits
+        no session bookkeeping, bit-identical to every prior release.
+        Anything else admits arrivals through the admission policy,
+        retires completed sessions, and records the session fields,
+        events, and counters.
         """
         return self.arrival_process != "all_at_zero" or self.admission != "accept-all"
 

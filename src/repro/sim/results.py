@@ -99,18 +99,18 @@ class SimulationResult:
     #: (``None`` when the run was uninstrumented).  Keys are phase
     #: names; values are ``count/total_s/mean_s/p50_s/p95_s/max_s``.
     phase_timings: dict | None = field(default=None, compare=False)
-    #: Per-session admission outcome (dynamic runs only; ``None`` on
-    #: the fixed path, where every offered session is implicitly
+    #: Per-session admission outcome (churn runs only; ``None`` on
+    #: zero-churn runs, where every offered session is implicitly
     #: admitted at slot 0).
     admitted: np.ndarray | None = None
-    #: Per-session rejection flag (dynamic runs only).
+    #: Per-session rejection flag (churn runs only).
     rejected: np.ndarray | None = None
     #: Slot at which the session's row was retired (-1 if the session
-    #: never completed; dynamic runs only).
+    #: never completed; churn runs only).
     departure_slot: np.ndarray | None = None
-    #: Total media offered by the workload, KB (dynamic runs only).
+    #: Total media offered by the workload, KB (churn runs only).
     offered_video_kb: float | None = None
-    #: Media belonging to *admitted* sessions, KB (dynamic runs only).
+    #: Media belonging to *admitted* sessions, KB (churn runs only).
     admitted_video_kb: float | None = None
 
     def __post_init__(self) -> None:
@@ -286,7 +286,7 @@ class SimulationResult:
         out["completed_users"] = int((self.completion_slot >= 0).sum())
         out["delivered_total_kb"] = float(self.delivered_kb.sum())
         if self.admitted is not None:
-            # Dynamic runs split the load the workload *offered* from
+            # Churn runs split the load the workload *offered* from
             # the load the admission policy actually let in.
             out["sessions_offered"] = int(self.admitted.size)
             out["sessions_admitted"] = int(self.admitted.sum())

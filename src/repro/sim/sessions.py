@@ -1,4 +1,4 @@
-"""Session lifecycle bookkeeping for the dynamic engine.
+"""Session lifecycle bookkeeping for the engine's slot loop.
 
 :class:`SessionManager` separates two index spaces:
 
@@ -13,12 +13,21 @@
   per-user state.  Rows are recycled lowest-index-first (a heap), so
   the mapping — and therefore the whole run — is deterministic.
 
+The paper's fixed population is the special case where every session
+is due at slot 0 in session order (``all_at_start=True``): session
+``i`` takes row ``i`` and the map is the identity for the whole run
+(:attr:`SessionManager.identity`), which lets the engine write its
+grids straight from the row-space vectors.
+
 The manager owns the ``session <-> row`` maps, the free-row heap, the
 pending-arrival queue (sorted by ``(arrival_slot, user_id)``), and the
 ``joined_mask`` / ``departed_mask`` row masks the gateway observes.
-Capacity doubles on demand; every structure above grows in lockstep so
-kernel backends stay allocation-free once the population stops
-growing.
+Each slot's admissions and retirements are applied in one batch (one
+vectorised fleet load or clear, one RRC/receiver reset, one rate-table
+rebuild), and the occupied-row map is cached between them, so slots
+where nobody arrives or leaves cost no lifecycle work.  Capacity
+doubles on demand; every structure above grows in lockstep so kernel
+backends stay allocation-free once the population stops growing.
 """
 
 from __future__ import annotations
@@ -28,11 +37,12 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.admission import AcceptAllPolicy, AdmissionContext
 from repro.media.fleet import _VacantRowFlow, _placeholder_video
 
 __all__ = ["SessionManager"]
 
-#: Rows the dynamic engine starts with; doubles on demand.
+#: Rows a churn run starts with; doubles on demand.
 INITIAL_CAPACITY = 4
 
 
@@ -45,9 +55,16 @@ class SessionManager:
         The workload's session-space flow list (fixes ``n_sessions``).
     fleet, rrc, arena, receiver, scheduler:
         The row-space structures grown/recycled in lockstep.
+    all_at_start:
+        Admit every session at slot 0 in session order (the fixed
+        population) instead of at its arrival slot in
+        ``(arrival_slot, user_id)`` order.  The fleet still masks a
+        session until its own ``arrival_slot``.
     """
 
-    def __init__(self, flows, fleet, rrc, arena, receiver, scheduler):
+    def __init__(
+        self, flows, fleet, rrc, arena, receiver, scheduler, all_at_start=False
+    ):
         self.flows = flows
         self.n_sessions = len(flows)
         self.fleet = fleet
@@ -61,26 +78,32 @@ class SessionManager:
         self.row_session = np.full(cap, -1, dtype=np.int64)
         self.session_row = np.full(self.n_sessions, -1, dtype=np.int64)
         self._free = list(range(cap))
-        heapq.heapify(self._free)
         self.admitted = np.zeros(self.n_sessions, dtype=bool)
         self.rejected = np.zeros(self.n_sessions, dtype=bool)
         self.completed = np.zeros(self.n_sessions, dtype=bool)
-        #: Flow-shaped row views handed to the gateway (placeholders on
-        #: vacant rows; DPI never draws error factors for them on the
-        #: paper's zero-error setting).
-        placeholder = _placeholder_video()
-        self.row_flows = [
-            _VacantRowFlow(user_id=-1, video=placeholder) for _ in range(cap)
-        ]
+        #: Rows bound to a session whose playback has not completed yet.
+        self.live = np.zeros(cap, dtype=bool)
+        #: Flow-shaped row views handed to the gateway (one shared
+        #: placeholder on vacant rows; DPI never draws error factors for
+        #: them on the paper's zero-error setting).
+        self._vacant = _VacantRowFlow(user_id=-1, video=_placeholder_video())
+        self.row_flows = [self._vacant] * cap
         self.joined_mask = np.zeros(cap, dtype=bool)
         self.departed_mask = np.zeros(cap, dtype=bool)
+        self._masks_dirty = False
         self._departed_next: list[int] = []
-        self._pending = deque(
-            sorted(
-                range(self.n_sessions),
-                key=lambda s: (flows[s].arrival_slot, flows[s].user_id),
+        if all_at_start:
+            self._due_slot = [0] * self.n_sessions
+            self._pending = deque(range(self.n_sessions))
+        else:
+            self._due_slot = [int(f.arrival_slot) for f in flows]
+            self._pending = deque(
+                sorted(
+                    range(self.n_sessions),
+                    key=lambda s: (flows[s].arrival_slot, flows[s].user_id),
+                )
             )
-        )
+        self._remap()
 
     # -- per-slot protocol ----------------------------------------------------
 
@@ -89,67 +112,133 @@ class SessionManager:
         """Sessions currently resident in the cell."""
         return self.capacity - len(self._free)
 
-    def begin_slot(self) -> None:
-        """Roll the join/depart masks over to a new slot."""
-        self.joined_mask[:] = False
-        self.departed_mask[:] = False
-        for row in self._departed_next:
-            if row < self.capacity:
-                self.departed_mask[row] = True
-        self._departed_next.clear()
-
-    def due_sessions(self, slot: int) -> list[int]:
-        """Sessions whose arrival slot has come, in deterministic order."""
-        due: list[int] = []
-        while self._pending and self.flows[self._pending[0]].arrival_slot <= slot:
-            due.append(self._pending.popleft())
+    def begin_slot(self, slot: int) -> list[int]:
+        """Roll the join/depart masks over to ``slot``; return the
+        sessions whose arrival has come, in deterministic order."""
+        if self._masks_dirty:
+            self.joined_mask[:] = False
+            self.departed_mask[:] = False
+            self._masks_dirty = False
+        if self._departed_next:
+            self.departed_mask[self._departed_next] = True
+            self._departed_next.clear()
+            self._masks_dirty = True
+        pending = self._pending
+        if not pending or self._due_slot[pending[0]] > slot:
+            return []
+        if self._due_slot[pending[-1]] <= slot:
+            due = list(pending)
+            pending.clear()
+            return due
+        due = []
+        while pending and self._due_slot[pending[0]] <= slot:
+            due.append(pending.popleft())
         return due
 
-    def occupied_rows(self) -> np.ndarray:
-        """Row indices currently bound to a session (ascending)."""
-        return np.flatnonzero(self.row_session >= 0)
+    def _remap(self) -> None:
+        """Refresh the cached occupied-row map after a lifecycle change."""
+        occ = np.flatnonzero(self.row_session >= 0)
+        #: Occupied rows (ascending) and the session bound to each.
+        self.occupied = occ
+        self.occupied_sessions = self.row_session[occ]
+        #: Row ``i`` holds session ``i`` on every row.
+        self.identity = (
+            occ.size == self.capacity == self.n_sessions
+            and bool((self.occupied_sessions == occ).all())
+        )
+
+    def _capacity_for(self, resident: int) -> int:
+        """Capacity one-at-a-time doubling reaches with ``resident`` rows."""
+        cap = self.capacity
+        while cap < resident:
+            cap *= 2
+        return cap
 
     # -- lifecycle transitions ------------------------------------------------
 
-    def admit(self, session: int) -> int:
-        """Grant ``session`` a row (growing capacity if needed)."""
-        if not self._free:
-            self.grow(self.capacity * 2)
-        row = heapq.heappop(self._free)
-        flow = self.flows[session]
-        self.fleet.load_row(row, flow)
-        self.rrc.reset_rows([row])
-        self.receiver.reset_rows([row])
-        self.row_flows[row] = flow
-        self.row_session[row] = session
-        self.session_row[session] = row
-        self.admitted[session] = True
-        self.joined_mask[row] = True
-        return row
+    def admit_due(self, slot: int, due, policy, unit_budget: int) -> list[int]:
+        """Run ``policy`` over ``due`` and admit the accepted sessions.
 
-    def reject(self, session: int) -> None:
-        self.rejected[session] = True
+        Each decision sees the resident count and row capacity that
+        admitting the earlier accepted sessions one at a time would have
+        left; the accepted ones then load in one :meth:`admit` batch.
+        Returns each due session's row, ``-1`` for a rejection.
+        """
+        if isinstance(policy, AcceptAllPolicy):
+            # Stateless and always true: no per-session context needed.
+            self.admit(due)
+            return self.session_row[due].tolist()
+        accepted: list[int] = []
+        for sess in due:
+            resident = self.active_count + len(accepted)
+            ctx = AdmissionContext(
+                slot=slot,
+                active_sessions=resident,
+                capacity_rows=self._capacity_for(resident),
+                unit_budget=unit_budget,
+                flow=self.flows[sess],
+            )
+            if policy.admit(ctx):
+                accepted.append(sess)
+            else:
+                self.rejected[sess] = True
+        self.admit(accepted)
+        return self.session_row[due].tolist()
 
-    def retire(self, session: int) -> int:
-        """Free a completed session's row; ends its RRC tail.
+    def admit(self, sessions) -> np.ndarray:
+        """Grant each session a row, lowest free rows first, growing
+        capacity (once) if needed."""
+        k = len(sessions)
+        if not k:
+            return np.empty(0, dtype=np.intp)
+        need = self.active_count + k
+        if need > self.capacity:
+            self.grow(self._capacity_for(need))
+        free = self._free
+        if k == len(free):
+            rows = np.array(sorted(free), dtype=np.intp)
+            free.clear()
+        else:
+            rows = np.array([heapq.heappop(free) for _ in range(k)], dtype=np.intp)
+        sess = np.asarray(sessions, dtype=np.intp)
+        flows = [self.flows[s] for s in sessions]
+        self.fleet.load_rows(rows, flows)
+        self.rrc.reset_rows(rows)
+        self.receiver.reset_rows(rows)
+        for row, flow in zip(rows.tolist(), flows):
+            self.row_flows[row] = flow
+        self.row_session[rows] = sess
+        self.session_row[sess] = rows
+        self.admitted[sess] = True
+        self.live[rows] = True
+        self.joined_mask[rows] = True
+        self._masks_dirty = True
+        self._remap()
+        return rows
 
-        The vacated row is reported in the *next* slot's
-        ``departed_mask`` (the retirement happens at the end of the
+    def retire(self, rows: np.ndarray) -> np.ndarray:
+        """Free completed sessions' rows (ends their RRC tails); returns
+        the sessions.
+
+        The vacated rows are reported in the *next* slot's
+        ``departed_mask`` (retirement happens at the end of the
         completion slot, after that slot's accounting).
         """
-        row = int(self.session_row[session])
-        self.fleet.clear_row(row)
-        self.rrc.reset_rows([row])
-        self.receiver.reset_rows([row])
-        self.scheduler.release_users(np.array([row], dtype=np.intp))
-        placeholder = _placeholder_video()
-        self.row_flows[row] = _VacantRowFlow(user_id=-1, video=placeholder)
-        self.row_session[row] = -1
-        self.session_row[session] = -1
-        self.completed[session] = True
-        heapq.heappush(self._free, row)
-        self._departed_next.append(row)
-        return row
+        sess = self.row_session[rows]
+        self.fleet.clear_rows(rows)
+        self.rrc.reset_rows(rows)
+        self.receiver.reset_rows(rows)
+        self.scheduler.release_users(rows)
+        for row in rows.tolist():
+            self.row_flows[row] = self._vacant
+            heapq.heappush(self._free, row)
+            self._departed_next.append(row)
+        self.row_session[rows] = -1
+        self.session_row[sess] = -1
+        self.completed[sess] = True
+        self.live[rows] = False
+        self._remap()
+        return sess
 
     def grow(self, new_capacity: int) -> None:
         """Double (or otherwise raise) the row capacity in lockstep."""
@@ -161,20 +250,18 @@ class SessionManager:
         self.arena.grow(new_capacity)
         self.receiver.grow(new_capacity)
         self.scheduler.grow_users(new_capacity)
-        row_session = np.full(new_capacity, -1, dtype=np.int64)
-        row_session[:old] = self.row_session
-        self.row_session = row_session
-        joined = np.zeros(new_capacity, dtype=bool)
-        joined[:old] = self.joined_mask
-        self.joined_mask = joined
-        departed = np.zeros(new_capacity, dtype=bool)
-        departed[:old] = self.departed_mask
-        self.departed_mask = departed
-        placeholder = _placeholder_video()
-        self.row_flows.extend(
-            _VacantRowFlow(user_id=-1, video=placeholder)
-            for _ in range(old, new_capacity)
-        )
+
+        def _resized(arr: np.ndarray, fill) -> np.ndarray:
+            out = np.full(new_capacity, fill, dtype=arr.dtype)
+            out[:old] = arr
+            return out
+
+        self.row_session = _resized(self.row_session, -1)
+        self.live = _resized(self.live, False)
+        self.joined_mask = _resized(self.joined_mask, False)
+        self.departed_mask = _resized(self.departed_mask, False)
+        self.row_flows.extend([self._vacant] * (new_capacity - old))
         for row in range(old, new_capacity):
             heapq.heappush(self._free, row)
         self.capacity = new_capacity
+        self._remap()

@@ -31,7 +31,6 @@ from repro.baselines import (
 )
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
-from repro.errors import ConfigurationError
 from repro.kernels import available_backends
 from repro.obs import Instrumentation, JsonlTraceWriter, check_trace
 from repro.sim import RunExecutor, RunTask
@@ -141,10 +140,6 @@ class TestZeroChurnIdentity:
 
 
 class TestChurnEndToEnd:
-    def test_object_path_rejects_churn(self):
-        with pytest.raises(ConfigurationError):
-            Simulation(churn_config(), DefaultScheduler(), path="object")
-
     @pytest.mark.parametrize("sched_name", ["default", "rtma", "ema"])
     def test_poisson_run_conserves_sessions(self, sched_name):
         cfg = churn_config()

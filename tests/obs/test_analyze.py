@@ -305,6 +305,107 @@ class TestFaultPlaneChecker:
         assert 33 in slots
 
 
+def churn_config(**overrides) -> SimConfig:
+    """Poisson arrivals with small videos: sessions retire, rows are
+    recycled, and the row capacity grows past its initial 4 rows."""
+    base = dict(
+        n_users=14,
+        n_slots=220,
+        capacity_kbps=4_000.0,
+        video_size_range_kb=(2_000.0, 5_000.0),
+        buffer_capacity_s=40.0,
+        seed=4,
+        arrival_process="poisson",
+        arrival_rate_per_slot=0.3,
+        admission="capacity-threshold",
+        admission_max_active=6,
+    )
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+def traced_churn(scheduler, cfg):
+    tracer = RecordingTracer()
+    with use_instrumentation(Instrumentation(tracer=tracer)):
+        Simulation(cfg, scheduler).run()
+    (timeline,) = timelines_from_events(tracer.events)
+    return timeline, tracer
+
+
+class TestChurnRuns:
+    """Every checker runs on churn runs, and still catches corruption."""
+
+    def _ema(self):
+        cfg = churn_config()
+        return traced_churn(EMAScheduler(cfg.n_users, v_param=0.5), cfg)
+
+    def test_ema_queues_checked_and_clean(self):
+        tl, tracer = self._ema()
+        # The scenario exercises the row -> session mapping: ragged
+        # snapshot widths (capacity growth) and recycled rows.
+        widths = {len(e["pc_s"]) for e in tracer.of_kind("ema.queues")}
+        assert len(widths) > 1
+        rows = [e["row"] for e in tracer.of_kind("session.start")]
+        assert len(rows) > len(set(rows))
+        assert tl.ema_queues.shape == (len(tl.ema_queue_slots), tl.n_users)
+        report = check_invariants(tl)
+        assert "ema.virtual_queues" in report.checked
+        assert not any("dynamic run" in r for r in report.skipped.values())
+        assert report.ok, report.render()
+
+    def test_perturbed_churn_snapshot_detected(self):
+        tl, _ = self._ema()
+        active = tl.grids["active"]
+        established = np.zeros_like(active)
+        established[1:] = active.cumsum(axis=0)[:-1] > 0
+        # A recycled-row session, mid-residency.
+        starts = {}
+        for ev in tl.sessions:
+            if ev["kind"] == "session.start":
+                starts.setdefault(ev["row"], []).append(ev["user"])
+        user = next(users[1] for users in starts.values() if len(users) > 1)
+        slots = np.flatnonzero(established[:, user] & active[:, user])
+        slot = int(slots[len(slots) // 2])
+        j = int(np.flatnonzero(tl.ema_queue_slots == slot)[0])
+        tl.ema_queues[j, user] += 5.0
+        violations = EMAQueueChecker().check(tl)
+        assert (slot, user) in [(v.slot, v.user) for v in violations]
+        assert all(u in (user, None) for _, u in
+                   [(v.slot, v.user) for v in violations])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("make", [
+        lambda cfg: DefaultScheduler(),
+        lambda cfg: RTMAScheduler(sig_threshold_dbm=-95.0),
+        lambda cfg: EMAScheduler(cfg.n_users, v_param=0.5),
+    ], ids=["default", "rtma", "ema"])
+    def test_fault_injection_checked_on_churn(self, make, seed):
+        from repro.faults import FaultPlan
+
+        cfg = churn_config(seed=seed)
+        cfg = cfg.with_(faults=FaultPlan.random(seed, cfg.n_slots, cfg.n_users))
+        tl, _ = traced_churn(make(cfg), cfg)
+        assert tl.sessions
+        report = check_invariants(tl)
+        assert "fault.injection" in report.checked
+        assert report.ok, report.render()
+
+    def test_delivery_to_stalled_churn_flow_detected(self):
+        from repro.faults import FaultPlan, FlowStall
+
+        plan = FaultPlan(stalls=(FlowStall(start_slot=60, n_slots=20, users=(2, 5)),))
+        tl, _ = traced_churn(DefaultScheduler(), churn_config(faults=plan))
+        report = check_invariants(tl)
+        assert "fault.injection" in report.checked and report.ok
+        tl.grids["delivered_kb"][70, 5] = 80.0
+        coords = [
+            (v.slot, v.user)
+            for v in check_invariants(tl).violations
+            if v.invariant == "fault.injection"
+        ]
+        assert (70, 5) in coords
+
+
 class TestAnalyzeCli:
     def test_clean_run_exits_zero(self, traced_quickstart_dir, capsys):
         assert main([str(traced_quickstart_dir)]) == 0

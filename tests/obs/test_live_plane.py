@@ -89,6 +89,60 @@ class TestLiveFeeding:
         assert energy.welford.mean == pytest.approx(float(total.mean()))
 
 
+class TestActiveUsersChannel:
+    """``active_users`` is the resident population on every run."""
+
+    def test_zero_churn_reads_the_full_population(self):
+        # Tiny videos complete mid-run; completed sessions stay
+        # resident (zero churn never retires), so the channel reads N
+        # at every watch tick.
+        cfg = small_config(
+            n_users=5, capacity_kbps=8_000.0,
+            video_size_range_kb=(500.0, 1_500.0), buffer_capacity_s=40.0,
+        )
+        live = LiveTelemetry(watch_every=8)
+        result = Simulation(
+            cfg, DefaultScheduler(), instrumentation=Instrumentation(live=live)
+        ).run()
+        assert (result.completion_slot >= 0).any()
+        assert not result.active[-1].all()  # fewer users still need data
+        stat = live.stats["active_users"]
+        assert stat.count == -(-cfg.n_slots // 8)
+        assert stat.min == stat.max == cfg.n_users
+
+    def test_churn_reads_resident_sessions(self):
+        cfg = small_config(
+            n_users=16, n_slots=300, capacity_kbps=4_000.0,
+            video_size_range_kb=(3_000.0, 8_000.0), buffer_capacity_s=40.0,
+            arrival_process="poisson", arrival_rate_per_slot=0.4,
+            admission="capacity-threshold", admission_max_active=4,
+        )
+        live = LiveTelemetry(watch_every=8)
+        tracer = RecordingTracer()
+        Simulation(
+            cfg, DefaultScheduler(),
+            instrumentation=Instrumentation(tracer=tracer, live=live),
+        ).run()
+        # Live samples the population at the end of each watch block,
+        # after that slot's retirements; the slot event is emitted
+        # before them.
+        ended = np.bincount(
+            [e["slot"] for e in tracer.of_kind("session.end")],
+            minlength=cfg.n_slots,
+        )
+        resident = [
+            e["resident_sessions"] - ended[e["slot"]]
+            for e in tracer.of_kind("slot")
+        ]
+        ticks = resident[7::8] + ([resident[-1]] if len(resident) % 8 else [])
+        stat = live.stats["active_users"]
+        assert stat.count == len(ticks)
+        assert stat.last == ticks[-1]
+        assert (stat.min, stat.max) == (min(ticks), max(ticks))
+        assert stat.welford.mean == pytest.approx(float(np.mean(ticks)))
+        assert min(ticks) < max(ticks)  # the population actually churns
+
+
 class TestAbortPath:
     def test_slo_abort_raises_and_counts(self):
         cfg = small_config()

@@ -97,12 +97,12 @@ def test_fleet_grow_is_invisible_to_existing_rows(
 def test_recycled_row_matches_fresh_fleet(first_size, second_size, rate, pre, post):
     recycled = ClientFleet.with_capacity(2, tau_s=1.0, buffer_capacity_s=30.0)
     first = _flows([first_size], [rate])[0]
-    recycled.load_row(0, first)
+    recycled.load_rows([0], [first])
     for slot, kb in enumerate(pre):
         offer = np.zeros(2)
         offer[0] = kb
         _drive(recycled, slot, offer)
-    recycled.clear_row(0)
+    recycled.clear_rows([0])
 
     restart = len(pre)
     second = VideoFlow(
@@ -110,7 +110,7 @@ def test_recycled_row_matches_fresh_fleet(first_size, second_size, rate, pre, po
         video=VideoSession(second_size, ConstantBitrateProfile(rate)),
         arrival_slot=restart,
     )
-    recycled.load_row(0, second)
+    recycled.load_rows([0], [second])
     fresh = ClientFleet([second], tau_s=1.0, buffer_capacity_s=30.0)
     for k, kb in enumerate(post):
         slot = restart + k
