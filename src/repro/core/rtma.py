@@ -28,7 +28,7 @@ from repro.kernels import registry as kernel_registry
 from repro.net.gateway import SlotObservation
 from repro.radio.power import EnviPowerModel
 
-__all__ = ["RTMAScheduler", "signal_threshold_for_energy_budget"]
+__all__ = ["RTMAScheduler", "need_units_into", "signal_threshold_for_energy_budget"]
 
 
 def signal_threshold_for_energy_budget(
@@ -71,6 +71,26 @@ def signal_threshold_for_energy_budget(
     if float(power_model.throughput.v(threshold)) > v_max:
         return float("inf")
     return threshold
+
+
+def need_units_into(obs: SlotObservation, units: np.ndarray, f_tmp: np.ndarray) -> None:
+    """Each user's one-slot need and transmit cap, in data units.
+
+    Row 0 of ``units`` gets step 3's need ``max(ceil(tau * p_i /
+    delta), 1)``; row 1 the cap ``min(link_i, ceil(min(remaining_i,
+    window_i) / delta))`` — never past the end of the video or the
+    receiver window.  Both rows share one divide/ceil/cast over the
+    ``(2, n)`` block.  A zero link cap makes a user's cap zero, so the
+    rounds grant it nothing whatever its signal.
+    """
+    need, cap = units
+    np.multiply(obs.rate_kbps, obs.tau_s, out=f_tmp[0])
+    np.minimum(obs.remaining_kb, obs.receivable_kb, out=f_tmp[1])
+    np.divide(f_tmp, obs.delta_kb, out=f_tmp)
+    np.ceil(f_tmp, out=f_tmp)
+    np.copyto(units, f_tmp, casting="unsafe")
+    np.maximum(need, 1, out=need)
+    np.minimum(obs.link_units, cap, out=cap)
 
 
 class RTMAScheduler(Scheduler):
@@ -123,13 +143,12 @@ class RTMAScheduler(Scheduler):
 
     def _buffers(self, n_users: int) -> dict:
         s = self._scratch
-        if s is None or s["need"].size != n_users:
+        if s is None or s["eligible"].size != n_users:
             s = {
                 "eligible": np.empty(n_users, dtype=bool),
-                "b_tmp": np.empty(n_users, dtype=bool),
-                "need": np.empty(n_users, dtype=np.int64),
-                "cap": np.empty(n_users, dtype=np.int64),
-                "f_tmp": np.empty(n_users, dtype=float),
+                # Rows: [need; cap] in units, and their float sources.
+                "units": np.empty((2, n_users), dtype=np.int64),
+                "f_tmp": np.empty((2, n_users), dtype=float),
             }
             self._scratch = s
         return s
@@ -140,26 +159,9 @@ class RTMAScheduler(Scheduler):
         eligible = s["eligible"]
         np.greater_equal(obs.sig_dbm, self.sig_threshold_dbm, out=eligible)
         np.logical_and(eligible, obs.active, out=eligible)
-        np.greater(obs.link_units, 0, out=s["b_tmp"])
-        np.logical_and(eligible, s["b_tmp"], out=eligible)
-        if not np.any(eligible) or obs.unit_budget <= 0:
+        if not eligible.any() or obs.unit_budget <= 0:
             return phi
-
-        # Step 3: one-slot need, ceil(tau * p_i / delta), at least 1 unit.
-        f = s["f_tmp"]
-        need = s["need"]
-        np.multiply(obs.rate_kbps, obs.tau_s, out=f)
-        np.divide(f, obs.delta_kb, out=f)
-        np.ceil(f, out=f)
-        np.copyto(need, f, casting="unsafe")
-        np.maximum(need, 1, out=need)
-        # Never allocate past the end of the video or the receiver window.
-        cap = s["cap"]
-        np.minimum(obs.remaining_kb, obs.receivable_kb, out=f)
-        np.divide(f, obs.delta_kb, out=f)
-        np.ceil(f, out=f)
-        np.copyto(cap, f, casting="unsafe")
-        np.minimum(obs.link_units, cap, out=cap)
+        need_units_into(obs, s["units"], s["f_tmp"])
 
         # Steps 1-2: ascending required data rate (stable for ties);
         # steps 4-15: rounds of at-most-phi_need grants in sorted order,
@@ -167,6 +169,7 @@ class RTMAScheduler(Scheduler):
         order = np.argsort(obs.rate_kbps, kind="stable")
         if self._kernel is None:
             self._kernel = kernel_registry.resolve("rtma_rounds")
+        need, cap = s["units"]
         self._kernel(phi, eligible, need, cap, order, int(obs.unit_budget))
         return phi
 

@@ -1,14 +1,15 @@
 """Engine-owned scratch arena for the allocation-free slot pipeline.
 
-One :class:`SlotArena` per run preallocates every per-user buffer the
-steady-state slot loop needs, so
-:meth:`repro.net.gateway.Gateway.collect_fleet` and
-:meth:`~repro.net.gateway.Gateway.transmit_fleet` assemble each slot's
-:class:`~repro.net.gateway.SlotObservation` by *writing into* reused
-arrays instead of allocating ~a dozen fresh ones per slot.
+One :class:`SlotArena` per run preallocates the per-user buffers the
+steady-state slot loop needs beyond the fleets' own state and slot view
+(:meth:`repro.media.fleet.ClientFleet.slot_view`): the RRC idle-cost
+preview, the transmit path's offer and accepted vectors, and — on
+churn runs — the row-space result rows.  Outside lifecycle events
+(and the link table's block refills) the slot loop allocates no
+array.
 
 Lifetime contract: every buffer is valid only within the slot that
-filled it — the next ``collect_fleet`` overwrites it.  The engine
+filled it — the next slot overwrites it.  The engine
 copies whatever outlives the slot (result grids, trace payloads) before
 the next iteration, and schedulers consume their observation within the
 same slot by construction.
@@ -26,19 +27,17 @@ __all__ = ["SlotArena"]
 class SlotArena:
     """Reused per-user buffers for one simulation run.
 
-    Attributes double as the backing stores of each slot's
-    ``SlotObservation`` (``link_units``, ``p_mj_per_kb``, ``active``,
-    ``remaining_kb``, ``receivable_kb``, ``idle_tail_cost_mj``) plus
-    the transmit-path scratch (``want_kb``, ``accepted_kb``,
-    ``drained_kb``, ``tx_mask``) and two generic temporaries
-    (``f8_tmp``, ``b1_tmp``) for intermediate ufunc chains.
+    Attributes back the observation's ``idle_tail_cost_mj``, the
+    transmit path (``want_kb``, ``offer_kb``, ``accepted_kb``,
+    ``drained_kb``, ``b1_tmp``) and the engine's per-slot masks
+    (``tx_mask``, ``done``).
 
     When rows and sessions do not coincide (churn runs), the engine
-    additionally uses four row-space buffers that survive the whole
-    slot (``sig_dbm``, ``rebuf_s``, ``trans_mj``, ``tail_mj``) — the
-    generic temporaries are clobbered inside ``collect_fleet`` — and
-    can :meth:`grow` the arena in lockstep with the fleet so kernels
-    stay allocation-free once the population stops growing.
+    additionally gathers the slot's fault stalls into row space
+    (``stall``) and keeps three row-space result rows (``rebuf_s``,
+    ``trans_mj``, ``tail_mj``); it can :meth:`grow` the arena in
+    lockstep with the fleet so kernels stay allocation-free once the
+    population stops growing.
     """
 
     def __init__(self, n_users: int):
@@ -48,19 +47,15 @@ class SlotArena:
         self._allocate(self.n_users)
 
     def _allocate(self, n: int) -> None:
-        self.link_units = np.empty(n, dtype=np.int64)
-        self.p_mj_per_kb = np.empty(n, dtype=float)
-        self.active = np.empty(n, dtype=bool)
-        self.remaining_kb = np.empty(n, dtype=float)
-        self.receivable_kb = np.empty(n, dtype=float)
         self.idle_tail_cost_mj = np.empty(n, dtype=float)
         self.want_kb = np.empty(n, dtype=float)
+        self.offer_kb = np.empty(n, dtype=float)
         self.accepted_kb = np.empty(n, dtype=float)
         self.drained_kb = np.empty(n, dtype=float)
         self.tx_mask = np.empty(n, dtype=bool)
-        self.f8_tmp = np.empty(n, dtype=float)
+        self.done = np.empty(n, dtype=bool)
         self.b1_tmp = np.empty(n, dtype=bool)
-        self.sig_dbm = np.empty(n, dtype=float)
+        self.stall = np.empty(n, dtype=bool)
         self.rebuf_s = np.empty(n, dtype=float)
         self.trans_mj = np.empty(n, dtype=float)
         self.tail_mj = np.empty(n, dtype=float)

@@ -1,24 +1,45 @@
 """ClientFleet slot kernels: playback advance (Eqs. 7-8) and delivery.
 
 Both kernels are pure array -> array state transitions: they read the
-fleet's *current* state arrays and write the engine-owned *alternate*
+fleet's *current* state arrays and write the fleet-owned *alternate*
 buffers (:class:`repro.media.fleet.ClientFleet` double-buffers its
 mutable state and swaps bindings after each successful kernel call, so
 the "state arrays are rebound, never mutated in place" aliasing
 contract survives unchanged).
 
+``fleet_begin_slot`` advances playback and, in the same pass, writes
+the slot's *view* — every per-row quantity the rest of the slot reads:
+the observation's ``active`` / ``remaining_kb`` / ``receivable_kb``
+columns, the engines' arrived and playback-complete masks, and
+``carried_s`` (the
+buffer left after one slot of playback, ``max(occ - tau, 0)``), which
+is both the receiver window's base and next slot's Eq. (7) drain.
+``fleet_deliver`` then truncates the offer with the view's
+``remaining`` and ``receivable`` columns instead of recomputing them.
+Fleet state does not change between the two calls, so each quantity is
+formed once per slot.
+
+Fleet fields that take the same ufunc travel as ``(2, n)`` blocks, one
+call for both: ``ea = [elapsed_playback_s; total_rebuffering_s]``
+advances by ``pr = [played; rebuffering]``, and ``dp =
+[delivered_playback_s; pending_playback_s]`` grows by each delivery's
+playback duration.
+
 ``cap_s`` is the buffer capacity in seconds with ``+inf`` standing for
 "uncapped" — ``min(x, inf) == x`` bit-for-bit, so the capped and
-uncapped forms share one code path.
+uncapped forms share one code path; the uncapped receiver window is
+the constant ``+inf`` the fleet keeps in ``receivable_out``, which the
+kernel then leaves untouched.
 
 ``fleet_deliver`` returns a nonzero error code instead of raising (the
 class raises :class:`repro.errors.SimulationError` *before* swapping
 buffers, leaving state untouched); a delivery with a non-positive
-bitrate is the only error case.
+bitrate is the only error case, and ``check_rates=False`` (every rate
+known positive) skips the test.
 
-The numpy implementations repeat the PR 3 vectorised arithmetic as an
-explicit out=-chain; the loop implementations mirror it lane by lane.
-Scratch layout: ``fscratch`` >= 2n float64, ``bscratch`` >= 4n bool.
+The numpy implementations are explicit out=-chains; the loop
+implementations mirror them lane by lane.  Scratch layout:
+``fscratch`` >= 2n float64, ``bscratch`` >= 3n bool.
 """
 
 from __future__ import annotations
@@ -43,68 +64,85 @@ def fleet_begin_slot_numpy(
     cap_s,
     arrival_slot,
     size_kb,
+    size_eps,
     delivered_kb,
-    delivered_playback_s,
+    rates,
+    carried_in,
     occ_in,
-    pend_in,
-    began_in,
-    elapsed_in,
-    total_in,
+    dp_in,
+    ea_in,
+    carried_out,
     occ_out,
-    pend_out,
-    began_out,
-    elapsed_out,
-    total_out,
-    rebuf_out,
+    dp_out,
+    ea_out,
+    pr_out,
+    arrived_out,
+    active_out,
+    complete_out,
+    remaining_out,
+    receivable_out,
     fscratch,
     bscratch,
 ):
     n = arrival_slot.shape[0]
-    arrived = bscratch[0:n]
-    mask = bscratch[n : 2 * n]
-    fully = bscratch[2 * n : 3 * n]
-    playing = bscratch[3 * n : 4 * n]
-    played = fscratch[0:n]
+    arrived = arrived_out
+    mask = bscratch[0:n]
+    fully = bscratch[n : 2 * n]
+    idle = bscratch[2 * n : 3 * n]
+    dplay_eps = fscratch[0:n]
     media_left = fscratch[n : 2 * n]
+    played = pr_out[0]
+    rebuf = pr_out[1]
+    elapsed_in = ea_in[0]
+    delivered_playback_s = dp_in[0]
+    pend_in = dp_in[1]
 
     np.less_equal(arrival_slot, slot, out=arrived)
-    # Eq. (7): drain one slot of playback, add last slot's arrivals.
-    np.subtract(occ_in, tau_s, out=occ_out)
-    np.maximum(occ_out, 0.0, out=occ_out)
-    np.add(occ_out, pend_in, out=occ_out)
+    # Eq. (7): last slot's carried buffer plus last slot's arrivals.
+    np.add(carried_in, pend_in, out=occ_out)
     np.minimum(occ_out, cap_s, out=occ_out)
     np.logical_not(arrived, out=mask)
     np.copyto(occ_out, occ_in, where=mask)
-    np.copyto(pend_out, pend_in)
-    np.copyto(pend_out, 0.0, where=arrived)
-    np.logical_or(began_in, arrived, out=began_out)
-    # playing = arrived & ~(fully_delivered & all media played out)
-    np.subtract(size_kb, _EPS, out=played)
-    np.greater_equal(delivered_kb, played, out=fully)
-    np.subtract(delivered_playback_s, _EPS, out=played)
-    np.greater_equal(elapsed_in, played, out=playing)
-    np.logical_and(playing, fully, out=playing)
-    np.logical_not(playing, out=playing)
-    np.logical_and(playing, arrived, out=playing)
+    np.copyto(dp_out, dp_in)
+    np.copyto(dp_out[1], 0.0, where=arrived)
+    # idle = ~playing = ~(arrived & ~(fully delivered & all media played))
+    np.greater_equal(delivered_kb, size_eps, out=fully)
+    np.subtract(delivered_playback_s, _EPS, out=dplay_eps)
+    np.greater_equal(elapsed_in, dplay_eps, out=idle)
+    np.logical_and(idle, fully, out=idle)
+    np.less_equal(arrived, idle, out=idle)
     # Eq. (8): stall for whatever part of the slot the buffer can't cover.
-    np.subtract(tau_s, occ_out, out=rebuf_out)
-    np.maximum(rebuf_out, 0.0, out=rebuf_out)
-    np.logical_not(playing, out=mask)
-    np.copyto(rebuf_out, 0.0, where=mask)
-    np.subtract(tau_s, rebuf_out, out=played)
-    np.copyto(played, 0.0, where=mask)
+    np.subtract(occ_out, tau_s, out=carried_out)
+    np.maximum(carried_out, 0.0, out=carried_out)
+    np.subtract(tau_s, occ_out, out=rebuf)
+    np.maximum(rebuf, 0.0, out=rebuf)
+    np.subtract(tau_s, rebuf, out=played)
+    np.copyto(pr_out, 0.0, where=idle)
     # Clamp playback to the media actually delivered; the tail of the
     # stream neither plays nor stalls once everything is delivered.
+    # (An idle row plays 0, which exceeds its media left only when that
+    # is negative, and the clamp then rewrites the 0 it already holds.)
     np.subtract(delivered_playback_s, elapsed_in, out=media_left)
-    over = mask
-    np.greater(played, media_left, out=over)
-    np.logical_and(over, playing, out=over)
+    np.greater(played, media_left, out=mask)
     np.maximum(media_left, 0.0, out=media_left)
-    np.copyto(played, media_left, where=over)
-    np.logical_and(over, fully, out=over)
-    np.copyto(rebuf_out, 0.0, where=over)
-    np.add(elapsed_in, played, out=elapsed_out)
-    np.add(total_in, rebuf_out, out=total_out)
+    np.copyto(played, media_left, where=mask)
+    np.logical_and(mask, fully, out=mask)
+    np.copyto(rebuf, 0.0, where=mask)
+    np.add(ea_in, pr_out, out=ea_out)
+    # The slot view.
+    np.greater(arrived, fully, out=active_out)
+    np.greater_equal(ea_out[0], dplay_eps, out=complete_out)
+    np.logical_and(complete_out, fully, out=complete_out)
+    np.subtract(size_kb, delivered_kb, out=remaining_out)
+    np.maximum(remaining_out, 0.0, out=remaining_out)
+    if cap_s != np.inf:
+        # Receiver window: seconds of headroom after this slot's drain,
+        # scaled by the stream bitrate (Eq. 7 capacity clamp).
+        np.subtract(cap_s, carried_out, out=receivable_out)
+        np.subtract(receivable_out, dp_out[1], out=receivable_out)
+        np.less_equal(receivable_out, 0.0, out=mask)
+        np.multiply(receivable_out, rates, out=receivable_out)
+        np.copyto(receivable_out, 0.0, where=mask)
     return 0
 
 
@@ -114,39 +152,49 @@ def fleet_begin_slot_loops(
     cap_s,
     arrival_slot,
     size_kb,
+    size_eps,
     delivered_kb,
-    delivered_playback_s,
+    rates,
+    carried_in,
     occ_in,
-    pend_in,
-    began_in,
-    elapsed_in,
-    total_in,
+    dp_in,
+    ea_in,
+    carried_out,
     occ_out,
-    pend_out,
-    began_out,
-    elapsed_out,
-    total_out,
-    rebuf_out,
+    dp_out,
+    ea_out,
+    pr_out,
+    arrived_out,
+    active_out,
+    complete_out,
+    remaining_out,
+    receivable_out,
     fscratch,
     bscratch,
 ):
     n = arrival_slot.shape[0]
+    capped = cap_s != np.inf
     for i in range(n):
         arrived = arrival_slot[i] <= slot
-        occ = occ_in[i] - tau_s
-        if occ < 0.0:
-            occ = 0.0
-        occ = occ + pend_in[i]
+        arrived_out[i] = arrived
+        dplay = dp_in[0, i]
+        occ = carried_in[i] + dp_in[1, i]
         if not occ < cap_s:
             occ = cap_s
         if not arrived:
             occ = occ_in[i]
         occ_out[i] = occ
-        pend_out[i] = 0.0 if arrived else pend_in[i]
-        began_out[i] = began_in[i] or arrived
-        fully = delivered_kb[i] >= size_kb[i] - _EPS
-        complete = fully and elapsed_in[i] >= delivered_playback_s[i] - _EPS
-        playing = arrived and not complete
+        pend = 0.0 if arrived else dp_in[1, i]
+        dp_out[0, i] = dplay
+        dp_out[1, i] = pend
+        fully = delivered_kb[i] >= size_eps[i]
+        dplay_eps = dplay - _EPS
+        elapsed = ea_in[0, i]
+        playing = arrived and not (fully and elapsed >= dplay_eps)
+        carried = occ - tau_s
+        if carried < 0.0:
+            carried = 0.0
+        carried_out[i] = carried
         if playing:
             rebuf = tau_s - occ
             if rebuf < 0.0:
@@ -155,80 +203,76 @@ def fleet_begin_slot_loops(
         else:
             rebuf = 0.0
             played = 0.0
-        media_left = delivered_playback_s[i] - elapsed_in[i]
-        if playing and played > media_left:
+        media_left = dplay - elapsed
+        if played > media_left:
             played = media_left if media_left > 0.0 else 0.0
             if fully:
                 rebuf = 0.0
-        elapsed_out[i] = elapsed_in[i] + played
-        total_out[i] = total_in[i] + rebuf
-        rebuf_out[i] = rebuf
+        pr_out[0, i] = played
+        pr_out[1, i] = rebuf
+        elapsed = elapsed + played
+        ea_out[0, i] = elapsed
+        ea_out[1, i] = ea_in[1, i] + rebuf
+        active_out[i] = arrived and not fully
+        complete_out[i] = elapsed >= dplay_eps and fully
+        remaining = size_kb[i] - delivered_kb[i]
+        if remaining < 0.0:
+            remaining = 0.0
+        remaining_out[i] = remaining
+        if capped:
+            headroom_s = (cap_s - carried) - pend
+            receivable_out[i] = 0.0 if headroom_s <= 0.0 else headroom_s * rates[i]
     return 0
 
 
 def fleet_deliver_numpy(
-    tau_s,
     cap_s,
     offer_kb,
     rates,
-    size_kb,
+    check_rates,
+    remaining_kb,
+    receivable_kb,
     delivered_in,
-    dplay_in,
-    occ_s,
-    pend_in,
+    dp_in,
     delivered_out,
-    dplay_out,
-    pend_out,
+    dp_out,
     accepted_out,
     fscratch,
     bscratch,
 ):
     n = offer_kb.shape[0]
-    scratch = fscratch[0:n]
-    recv = fscratch[n : 2 * n]
+    duration = fscratch[0:n]
     m1 = bscratch[0:n]
     m2 = bscratch[n : 2 * n]
-    np.subtract(size_kb, delivered_in, out=scratch)
-    np.maximum(scratch, 0.0, out=scratch)
-    np.minimum(offer_kb, scratch, out=accepted_out)
+    np.minimum(offer_kb, remaining_kb, out=accepted_out)
     if cap_s != np.inf:
-        # Receiver window: seconds of buffer headroom after this slot's
-        # drain, scaled by the stream bitrate (Eq. 7 capacity clamp).
-        np.subtract(occ_s, tau_s, out=recv)
-        np.maximum(recv, 0.0, out=recv)
-        np.subtract(cap_s, recv, out=recv)
-        np.subtract(recv, pend_in, out=recv)
-        np.less_equal(recv, 0.0, out=m1)
-        np.multiply(recv, rates, out=recv)
-        np.copyto(recv, 0.0, where=m1)
-        np.minimum(accepted_out, recv, out=accepted_out)
+        np.minimum(accepted_out, receivable_kb, out=accepted_out)
     np.less_equal(accepted_out, 0.0, out=m1)
     np.copyto(accepted_out, 0.0, where=m1)
-    np.greater(accepted_out, 0.0, out=m1)
-    np.less_equal(rates, 0.0, out=m2)
-    np.logical_and(m1, m2, out=m1)
-    if m1.any():
-        return 1  # delivering at a non-positive bitrate
-    np.divide(accepted_out, rates, out=scratch)
+    if check_rates:
+        np.greater(accepted_out, 0.0, out=m1)
+        np.less_equal(rates, 0.0, out=m2)
+        np.logical_and(m1, m2, out=m1)
+        if m1.any():
+            return 1  # delivering at a non-positive bitrate
+    np.divide(accepted_out, rates, out=duration)
     np.add(delivered_in, accepted_out, out=delivered_out)
-    np.add(dplay_in, scratch, out=dplay_out)
-    np.add(pend_in, scratch, out=pend_out)
+    # [delivered playback; pending playback] both grow by the duration.
+    np.add(dp_in, duration, out=dp_out)
     return 0
 
 
 def fleet_deliver_loops(
-    tau_s,
     cap_s,
     offer_kb,
     rates,
-    size_kb,
+    check_rates,
+    remaining_kb,
+    receivable_kb,
     delivered_in,
-    dplay_in,
-    occ_s,
-    pend_in,
+    dp_in,
     delivered_out,
-    dplay_out,
-    pend_out,
+    dp_out,
     accepted_out,
     fscratch,
     bscratch,
@@ -236,31 +280,22 @@ def fleet_deliver_loops(
     n = offer_kb.shape[0]
     capped = cap_s != np.inf
     for i in range(n):
-        rem = size_kb[i] - delivered_in[i]
-        if rem < 0.0:
-            rem = 0.0
         a = offer_kb[i]
-        if rem < a:
-            a = rem
-        if capped:
-            carried = occ_s[i] - tau_s
-            if carried < 0.0:
-                carried = 0.0
-            headroom_s = (cap_s - carried) - pend_in[i]
-            recv = 0.0 if headroom_s <= 0.0 else headroom_s * rates[i]
-            if recv < a:
-                a = recv
+        if remaining_kb[i] < a:
+            a = remaining_kb[i]
+        if capped and receivable_kb[i] < a:
+            a = receivable_kb[i]
         if not a > 0.0:
             a = 0.0
-        if a > 0.0 and rates[i] <= 0.0:
+        if check_rates and a > 0.0 and rates[i] <= 0.0:
             return 1
         accepted_out[i] = a
     for i in range(n):
         a = accepted_out[i]
         duration = a / rates[i]
         delivered_out[i] = delivered_in[i] + a
-        dplay_out[i] = dplay_in[i] + duration
-        pend_out[i] = pend_in[i] + duration
+        dp_out[0, i] = dp_in[0, i] + duration
+        dp_out[1, i] = dp_in[1, i] + duration
     return 0
 
 
@@ -274,24 +309,28 @@ def _warmup_begin(fn):
     fn(
         np.int64(0),
         1.0,
-        np.inf,
+        30.0,
         np.array([0, 5], dtype=np.int64),
         _f8(100.0, 100.0),
+        _f8(100.0 - _EPS, 100.0 - _EPS),
         _f8(10.0, 0.0),
-        _f8(2.0, 0.0),
+        _f8(100.0, 100.0),
+        _f8(0.0, 0.0),
         _f8(1.0, 0.0),
-        _f8(0.5, 0.0),
-        np.zeros(n, dtype=np.bool_),
-        _f8(0.0, 0.0),
-        _f8(0.0, 0.0),
+        np.array([[2.0, 0.0], [0.5, 0.0]]),
+        np.zeros((2, n)),
         np.empty(n),
         np.empty(n),
+        np.empty((2, n)),
+        np.empty((2, n)),
+        np.empty((2, n)),
+        np.empty(n, dtype=np.bool_),
+        np.empty(n, dtype=np.bool_),
         np.empty(n, dtype=np.bool_),
         np.empty(n),
         np.empty(n),
-        np.empty(n),
         np.empty(2 * n),
-        np.empty(4 * n, dtype=np.bool_),
+        np.empty(3 * n, dtype=np.bool_),
     )
 
 
@@ -299,21 +338,19 @@ def _warmup_deliver(fn):
     """Specialise deliver on a two-user instance."""
     n = 2
     fn(
-        1.0,
         30.0,
         _f8(5.0, 0.0),
         _f8(100.0, 100.0),
-        _f8(100.0, 100.0),
+        True,
+        _f8(90.0, 100.0),
+        _f8(2500.0, 3000.0),
         _f8(10.0, 0.0),
-        _f8(2.0, 0.0),
-        _f8(1.0, 0.0),
-        _f8(0.5, 0.0),
+        np.array([[2.0, 0.0], [0.5, 0.0]]),
         np.empty(n),
-        np.empty(n),
-        np.empty(n),
+        np.empty((2, n)),
         np.empty(n),
         np.empty(2 * n),
-        np.empty(2 * n, dtype=np.bool_),
+        np.empty(4 * n, dtype=np.bool_),
     )
 
 

@@ -478,10 +478,12 @@ def timeline_from_result(result, params: dict[str, Any] | None = None) -> RunTim
     """Build a timeline from an in-memory :class:`~repro.sim.results.SimulationResult`.
 
     The result record does not retain the per-slot link caps, unit
-    budgets, or signal rows, so the capacity and RTMA-threshold
-    invariants report themselves skipped; buffer and EMA-consistency
-    checks run as on a trace.  ``params`` plays the role of the
-    ``run.start`` scheduler parameters.
+    budgets, or signal rows.  The capacity checker still runs, on what
+    the grids hold (non-negative allocations, deliveries within
+    allocations), but cannot test Eq. (1)'s link caps or Eq. (2)'s
+    budget, and the RTMA checker cannot test its signal threshold;
+    buffer and EMA-consistency checks run as on a trace.  ``params``
+    plays the role of the ``run.start`` scheduler parameters.
     """
     cfg = result.config
     tl = RunTimeline(

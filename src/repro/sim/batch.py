@@ -21,9 +21,9 @@ The contract is **bit-identity** with the serial path (guarded by
   ``rtma_rounds_batch`` / ``ema_dp_batch`` kernels);
 * reductions feeding results and metrics run on *contiguous* per-run
   copies, so NumPy's pairwise summation order matches the serial one;
-* the Eq. (24) link/power tables are precomputed for all runs in one
-  vectorized 2-D pass using the models' ``out=``-path (the same ufunc
-  chain the serial arena path evaluates per slot).
+* the Eq. (1)/(24) link/power rows come from the same
+  :class:`~repro.radio.linktable.LinkTable` the serial engine reads,
+  with the runs' signal traces laid side by side.
 
 Compatibility: stacked runs must share ``n_users``, ``n_slots``,
 ``tau_s``, ``delta_kb``, ``buffer_capacity_s``, ``fetch_ahead_kb``,
@@ -63,7 +63,7 @@ from repro.baselines.throttling import ThrottlingScheduler
 from repro.core.allocation import check_constraints
 from repro.core.ema import FALLBACK, EMAScheduler, publish_queue_gauges
 from repro.core.lyapunov import VirtualQueues
-from repro.core.rtma import RTMAScheduler
+from repro.core.rtma import RTMAScheduler, need_units_into
 from repro.core.scheduler import Scheduler
 from repro.core.slot_solver import certified_slot_solve
 from repro.errors import ConfigurationError, SimulationError
@@ -77,6 +77,7 @@ from repro.net.slicing import ResourceSlicer
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SLOT_PREFIX, activate_spans
+from repro.radio.linktable import LinkTable
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.engine import SPAN_BLOCK_SLOTS, Simulation
 from repro.sim.results import SimulationResult
@@ -363,24 +364,14 @@ class BatchPlan:
                 cfg.tau_s * cap_table / cfg.delta_kb
             ).astype(np.int64)
 
-        # Stack the signal traces and precompute the Eq. (24) link and
-        # power tables for every run in one vectorized 2-D pass — this
-        # is also where the redundant per-seed fit-constant evaluation
-        # of the serial path collapses into a single call per batch.
-        # The out=-path is used on purpose: it is the exact ufunc chain
-        # the serial arena path evaluates per slot, so every table row
-        # is bitwise equal to the serial per-slot evaluation.
-        signal = np.concatenate(
-            [wl.signal_dbm[:gamma] for wl in workloads], axis=1
+        # The runs' signal traces side by side, with their Eq. (1)/(24)
+        # rows evaluated a block of slots at a time — the same table
+        # the serial engine reads, so every row is bitwise equal to a
+        # serial run's.
+        table = LinkTable(
+            [wl.signal_dbm for wl in workloads], gamma, cfg.tau_s,
+            cfg.delta_kb, radio.throughput, radio.power,
         )
-        link_table = np.empty((gamma, total), dtype=np.int64)
-        p_table = np.empty((gamma, total), dtype=float)
-        scratch2d = np.empty((gamma, total), dtype=float)
-        radio.throughput.max_units(
-            signal, cfg.tau_s, cfg.delta_kb, out=link_table, scratch=scratch2d
-        )
-        radio.power.p(signal, out=p_table, scratch=scratch2d)
-        del scratch2d
 
         alloc = np.zeros((gamma, total), dtype=np.int64)
         delivered = np.zeros((gamma, total), dtype=float)
@@ -391,6 +382,7 @@ class BatchPlan:
         need_kb = np.zeros((gamma, total), dtype=float)
         active_rec = np.zeros((gamma, total), dtype=bool)
         completion = np.full(total, -1, dtype=np.int64)
+        undone = np.ones(total, dtype=bool)
         arrivals = np.array([f.arrival_slot for f in flows_all], dtype=np.int64)
 
         if spans_on:
@@ -404,15 +396,11 @@ class BatchPlan:
                 if instrumented:
                     _t0 = _pc()
                 fleet.begin_slot(slot, out=rebuf[slot])
-                newly_done = fleet.playback_complete_into(
-                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                )
-                np.less(completion, 0, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
-                np.less_equal(arrivals, slot, out=arena.tx_mask)
-                np.logical_and(newly_done, arena.tx_mask, out=newly_done)
+                newly_done = np.logical_and(fleet.view_complete, undone, out=arena.done)
+                np.logical_and(newly_done, fleet.view_arrived, out=newly_done)
                 if newly_done.any():
                     completion[newly_done] = slot
+                    undone[newly_done] = False
                 if instrumented:
                     rec_playback(_pc() - _t0)
 
@@ -426,13 +414,14 @@ class BatchPlan:
                 else:
                     run_caps_row = cap_table[slot]
                     run_budgets_row = budget_table[slot]
+                sig_row, link_row, p_row = table.rows(slot)
                 obs, phi, sent_kb = gateway.step_batch(
                     slot,
-                    signal[slot],
+                    sig_row,
                     flows_all,
                     fleet,
-                    link_table[slot],
-                    p_table[slot],
+                    link_row,
+                    p_row,
                     idle_cost,
                     run_offsets,
                     run_budgets_row,
@@ -441,13 +430,6 @@ class BatchPlan:
                     instrumentation=instr,
                 )
                 check_constraints(phi, obs)
-                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                if arena.b1_tmp.any():
-                    raise SimulationError(
-                        f"slot {slot}: delivered more than allocated"
-                    )
 
                 # 5. Radio energy accounting (Eq. 5: trans XOR tail).
                 if instrumented:
@@ -468,7 +450,7 @@ class BatchPlan:
                 alloc[slot] = phi
                 delivered[slot] = sent_kb
                 buffer_s[slot] = obs.buffer_s
-                np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
+                need_kb[slot] = obs.rate_kbps  # times tau after the loop
                 active_rec[slot] = obs.active
 
                 if instrumented:
@@ -497,6 +479,7 @@ class BatchPlan:
         if spans_on:
             _fold_phase_spans()
 
+        np.multiply(need_kb, cfg.tau_s, out=need_kb)
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
 
@@ -619,10 +602,8 @@ class _BatchRTMA(Scheduler):
             self.n_per_run,
         )
         self._eligible = np.empty(n_total, dtype=bool)
-        self._b_tmp = np.empty(n_total, dtype=bool)
-        self._need = np.empty(n_total, dtype=np.int64)
-        self._cap = np.empty(n_total, dtype=np.int64)
-        self._f_tmp = np.empty(n_total, dtype=float)
+        self._units = np.empty((2, n_total), dtype=np.int64)
+        self._f_tmp = np.empty((2, n_total), dtype=float)
         self._kernel = None
 
     def allocate(self, obs: SlotObservation) -> np.ndarray:
@@ -630,24 +611,10 @@ class _BatchRTMA(Scheduler):
         eligible = self._eligible
         np.greater_equal(obs.sig_dbm, self._thr_lanes, out=eligible)
         np.logical_and(eligible, obs.active, out=eligible)
-        np.greater(obs.link_units, 0, out=self._b_tmp)
-        np.logical_and(eligible, self._b_tmp, out=eligible)
-        if not np.any(eligible):
+        if not eligible.any():
             return phi
-
-        f = self._f_tmp
-        need = self._need
-        np.multiply(obs.rate_kbps, obs.tau_s, out=f)
-        np.divide(f, obs.delta_kb, out=f)
-        np.ceil(f, out=f)
-        np.copyto(need, f, casting="unsafe")
-        np.maximum(need, 1, out=need)
-        cap = self._cap
-        np.minimum(obs.remaining_kb, obs.receivable_kb, out=f)
-        np.divide(f, obs.delta_kb, out=f)
-        np.ceil(f, out=f)
-        np.copyto(cap, f, casting="unsafe")
-        np.minimum(obs.link_units, cap, out=cap)
+        need_units_into(obs, self._units, self._f_tmp)
+        need, cap = self._units
 
         order = np.argsort(
             obs.rate_kbps.reshape(self.n_runs, self.n_per_run),
@@ -1003,7 +970,7 @@ class _SlicedBatch(Scheduler):
                 receivable_kb=obs.receivable_kb[lo:hi],
             )
             views.append(obs_r)
-            phi[lo:hi] = np.asarray(s.allocate(obs_r))
+            phi[lo:hi] = s.allocate(obs_r)
         self._last_obs = views
         return phi
 

@@ -60,6 +60,7 @@ from repro.net.gateway import Gateway
 from repro.net.slicing import ResourceSlicer
 from repro.obs.instrument import Instrumentation, current_instrumentation
 from repro.obs.spans import SLOT_PREFIX, activate_spans
+from repro.radio.linktable import LinkTable
 from repro.radio.rrc import RRCFleet, fleet_occupancy_from_tx
 from repro.sim.config import SimConfig
 from repro.sim.results import SimulationResult
@@ -79,6 +80,17 @@ _TRACED_SCHEDULER_PARAMS = (
     "v_param",
     "queue_floor_s",
 )
+
+
+#: Signal (dBm) vacant rows observe on churn runs; they are inactive,
+#: so schedulers allocate them nothing.
+_VACANT_DBM = -110.0
+
+
+def _resident_mean(buffer_row: np.ndarray, session_row: np.ndarray) -> float:
+    """Mean of a session-keyed row over resident sessions (0.0 if none)."""
+    resident = buffer_row[session_row >= 0]
+    return float(resident.mean()) if resident.size else 0.0
 
 
 #: Slots per hierarchical-span slot block: the span profiler closes one
@@ -297,8 +309,7 @@ class Simulation:
         # 0); INITIAL_CAPACITY rows on a churn run, doubling on demand.
         capacity = min(n, INITIAL_CAPACITY) if churn else n
         fleet = ClientFleet.with_capacity(capacity, cfg.tau_s, cfg.buffer_capacity_s)
-        # All per-row observation/transmit buffers; the slot loop never
-        # allocates an array while the population is stable.
+        # Per-row scratch beyond the fleets' own state.
         arena = SlotArena(capacity)
         rrc = RRCFleet(capacity, radio.rrc)
         cap_model = ConstantCapacity(cfg.capacity_kbps)
@@ -347,6 +358,16 @@ class Simulation:
         else:
             stall_grid = None
             outage_mask = None
+        # Eq. (1)/(24) rows of the whole trace, evaluated a block of
+        # slots at a time.  Churn runs gather rows through the row map,
+        # whose vacant rows point at one extra floor-signal column.
+        table = LinkTable(
+            [signal], gamma, cfg.tau_s, cfg.delta_kb, radio.throughput,
+            radio.power, pad_dbm=_VACANT_DBM if churn else None,
+        )
+        if churn and stall_grid is not None:
+            stall_cols = np.zeros((gamma, n + 1), dtype=bool)
+            stall_cols[:, :n] = stall_grid
         arrivals = np.array([f.arrival_slot for f in flows], dtype=np.int64)
 
         scheduler_name = getattr(
@@ -421,19 +442,18 @@ class Simulation:
                 ident = mgr.identity
                 if ident:
                     rebuf_row, trans_row, tail_row = rebuf[slot], e_trans[slot], e_tail[slot]
-                    sig_row = signal[slot]
+                    sig_row, link_row, p_row = table.rows(slot)
+                    sig_row, link_row, p_row = sig_row[:n], link_row[:n], p_row[:n]
                     stall_row = stall_grid[slot] if stall_grid is not None else None
                 else:
                     occ, sess_of = mgr.occupied, mgr.occupied_sessions
                     rebuf_row, trans_row, tail_row = arena.rebuf_s, arena.trans_mj, arena.tail_mj
                     # Vacant rows see a floor signal; they are inactive,
                     # so schedulers allocate them nothing.
-                    sig_row = arena.sig_dbm
-                    sig_row.fill(-110.0)
-                    sig_row[occ] = signal[slot][sess_of]
+                    col = mgr.row_col
+                    sig_row, link_row, p_row = table.rows_through(slot, col)
                     if stall_grid is not None:
-                        stall_row = np.zeros(mgr.capacity, dtype=bool)
-                        stall_row[occ] = stall_grid[slot][sess_of]
+                        stall_row = stall_cols[slot].take(col, out=arena.stall, mode="clip")
                     else:
                         stall_row = None
 
@@ -443,10 +463,7 @@ class Simulation:
                 if instrumented:
                     _t0 = _pc()
                 fleet.begin_slot(slot, out=rebuf_row)
-                newly_done = fleet.playback_complete_into(
-                    arena.b1_tmp, arena.f8_tmp, arena.tx_mask
-                )
-                np.logical_and(newly_done, mgr.live, out=newly_done)
+                newly_done = np.logical_and(fleet.view_complete, mgr.live, out=arena.done)
                 done_rows = None
                 if newly_done.any():
                     done_rows = np.flatnonzero(newly_done)
@@ -464,8 +481,8 @@ class Simulation:
                     sig_row,
                     mgr.row_flows,
                     fleet,
-                    radio.throughput,
-                    radio.power,
+                    link_row,
+                    p_row,
                     idle_cost,
                     instrumentation=instr,
                     arena=arena,
@@ -474,11 +491,6 @@ class Simulation:
                     stall_mask=stall_row,
                 )
                 check_constraints(phi, obs)
-                np.multiply(phi, cfg.delta_kb, out=arena.f8_tmp)
-                np.add(arena.f8_tmp, 1e-9, out=arena.f8_tmp)
-                np.greater(sent_kb, arena.f8_tmp, out=arena.b1_tmp)
-                if arena.b1_tmp.any():
-                    raise SimulationError(f"slot {slot}: delivered more than allocated")
 
                 # 5. Radio energy accounting (Eq. 5: trans XOR tail).
                 #    Occupancy/tail metrics are batch-derived after the loop.
@@ -501,7 +513,7 @@ class Simulation:
                     alloc[slot] = phi
                     delivered[slot] = sent_kb
                     buffer_s[slot] = obs.buffer_s
-                    np.multiply(obs.rate_kbps, cfg.tau_s, out=need_kb[slot])
+                    need_kb[slot] = obs.rate_kbps  # times tau after the loop
                     active_rec[slot] = obs.active
                 elif occ.size:
                     alloc[slot, sess_of] = phi[occ]
@@ -510,7 +522,7 @@ class Simulation:
                     e_trans[slot, sess_of] = trans_row[occ]
                     e_tail[slot, sess_of] = tail_row[occ]
                     buffer_s[slot, sess_of] = obs.buffer_s[occ]
-                    need_kb[slot, sess_of] = obs.rate_kbps[occ] * cfg.tau_s
+                    need_kb[slot, sess_of] = obs.rate_kbps[occ]
                     active_rec[slot, sess_of] = obs.active[occ]
 
                 if instrumented:
@@ -548,7 +560,11 @@ class Simulation:
                         rebuffering_s=float(rebuf[slot].sum()),
                         energy_trans_mj=float(e_trans[slot].sum()),
                         energy_tail_mj=float(e_tail[slot].sum()),
-                        mean_buffer_s=float(obs.buffer_s.mean()),
+                        mean_buffer_s=(
+                            _resident_mean(buffer_s[slot], mgr.session_row)
+                            if churn
+                            else float(obs.buffer_s.mean())
+                        ),
                         users={
                             "phi": alloc[slot],
                             "delivered_kb": delivered[slot],
@@ -565,7 +581,10 @@ class Simulation:
 
                 # Retirement happens at the *end* of the completion slot
                 # — the slot's tail accrual and accounting include the
-                # session — and frees the row for recycling.
+                # session — and frees the row for recycling.  A slot's
+                # population (trace resident_sessions, live
+                # active_users) counts the sessions it retires.
+                resident = mgr.active_count
                 if churn and done_rows is not None:
                     retired = mgr.retire(done_rows)
                     departure[retired] = slot
@@ -585,7 +604,7 @@ class Simulation:
                         + e_tail[live_start:end].sum(axis=1),
                         delivered[live_start:end].sum(axis=1),
                         buffer_s[live_start:end].mean(axis=1),
-                        active_users=int(mgr.active_count),
+                        active_users=int(resident),
                         outage_slots=(
                             int(outage_mask[live_start:end].sum())
                             if outage_mask is not None
@@ -631,6 +650,7 @@ class Simulation:
         if spans_on:
             _fold_phase_spans()
 
+        np.multiply(need_kb, cfg.tau_s, out=need_kb)
         if not np.all(np.isfinite(e_trans)):
             raise SimulationError("non-finite transmission energy recorded")
 

@@ -32,7 +32,7 @@ from repro.baselines import (
 from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.kernels import available_backends
-from repro.obs import Instrumentation, JsonlTraceWriter, check_trace
+from repro.obs import Instrumentation, JsonlTraceWriter, RecordingTracer, check_trace
 from repro.sim import RunExecutor, RunTask
 from repro.sim.config import SimConfig
 from repro.sim.engine import Simulation
@@ -214,6 +214,32 @@ class TestChurnEndToEnd:
         assert counts["admitted"] == counts["completed"] + counts["active"]
         rows = tl.session_rows()
         assert rows and all(r["outcome"] is not None for r in rows)
+
+
+class TestChurnSlotSeries:
+    def test_mean_buffer_is_over_resident_sessions(self):
+        # Accept-all under heavy arrivals doubles the row capacity
+        # mid-run; the slot event's mean buffer must follow the
+        # resident sessions, never the vacant rows of the row space.
+        cfg = churn_config(
+            seed=5, admission="accept-all", admission_max_active=None
+        )
+        tracer = RecordingTracer()
+        res = Simulation(
+            cfg, DefaultScheduler(), instrumentation=Instrumentation(tracer=tracer)
+        ).run()
+        starts = {e["user"]: e["slot"] for e in tracer.of_kind("session.start")}
+        ends = {e["user"]: e["slot"] for e in tracer.of_kind("session.end")}
+        assert max(e["row"] for e in tracer.of_kind("session.start")) >= 4
+        resident = np.zeros((cfg.n_slots, cfg.n_users), dtype=bool)
+        for user, start in starts.items():
+            resident[start : ends.get(user, cfg.n_slots - 1) + 1, user] = True
+        for ev in tracer.of_kind("slot"):
+            slot = ev["slot"]
+            mask = resident[slot]
+            want = float(res.buffer_s[slot][mask].mean()) if mask.any() else 0.0
+            assert ev["mean_buffer_s"] == want, slot
+            assert ev["resident_sessions"] == int(mask.sum()), slot
 
 
 class TestAdmissionPolicies:

@@ -17,6 +17,15 @@ from repro.radio.throughput import LinearThroughputModel
 from tests.conftest import make_obs
 
 
+def link_rows(sig_dbm, tau_s=1.0, delta_kb=40.0):
+    """The Eq. (1)/(24) rows a LinkTable hands the gateway for ``sig_dbm``."""
+    sig = np.asarray(sig_dbm, dtype=float)
+    return (
+        LinearThroughputModel().max_units(sig, tau_s, delta_kb),
+        EnviPowerModel().p(sig),
+    )
+
+
 def make_world(n=3, size_kb=5000.0, rate=400.0):
     flows = [
         VideoFlow(i, VideoSession(size_kb, ConstantBitrateProfile(rate)))
@@ -62,15 +71,17 @@ class TestInformationCollector:
         flows, fleet = make_world(n=3)
         bs = BaseStation(capacity=4096.0, delta_kb=40.0)
         collector = InformationCollector()
+        sig = np.array([-60.0, -80.0, -100.0])
+        link, p = link_rows(sig)
         obs = collector.collect_fleet(
             slot=0,
-            sig_row=np.array([-60.0, -80.0, -100.0]),
+            sig_row=sig,
             flows=flows,
             fleet=fleet,
             bs=bs,
             slicer=ResourceSlicer(),
-            throughput_model=LinearThroughputModel(),
-            power_model=EnviPowerModel(),
+            link_units=link,
+            p_mj_per_kb=p,
             idle_tail_cost_mj=np.zeros(3),
         )
         assert obs.n_users == 3
@@ -90,8 +101,7 @@ class TestInformationCollector:
                 fleet,
                 BaseStation(),
                 ResourceSlicer(),
-                LinearThroughputModel(),
-                EnviPowerModel(),
+                *link_rows([-80.0, -80.0]),
                 np.zeros(2),
             )
 
@@ -124,6 +134,15 @@ class TestDataTransmitter:
                 np.array([-1]), obs, DataReceiver(1), fleet
             )
 
+    def test_rejects_delivery_beyond_allocation(self, monkeypatch):
+        flows, fleet = make_world(n=2)
+        obs = make_obs(n_users=2)
+        receiver = DataReceiver(2)
+        receiver.refill(np.array([500.0, 500.0]))
+        monkeypatch.setattr(fleet, "deliver", lambda offer, slot, out=None: offer + 1.0)
+        with pytest.raises(SimulationError, match="delivered more than allocated"):
+            DataTransmitter().transmit_fleet(np.array([1, 0]), obs, receiver, fleet)
+
     def test_stalled_flow_gets_nothing(self):
         flows, fleet = make_world(n=2)
         obs = make_obs(n_users=2)
@@ -150,14 +169,9 @@ class TestGateway:
     def test_step_delivers_to_clients(self):
         flows, fleet = make_world(n=2)
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        sig = np.array([-70.0, -75.0])
         obs, phi, delivered = gw.step(
-            0,
-            np.array([-70.0, -75.0]),
-            flows,
-            fleet,
-            LinearThroughputModel(),
-            EnviPowerModel(),
-            np.zeros(2),
+            0, sig, flows, fleet, *link_rows(sig), np.zeros(2)
         )
         assert phi.shape == (2,)
         assert (delivered > 0).all()
@@ -168,14 +182,9 @@ class TestGateway:
         fleet.begin_slot(0)
         fleet.deliver(np.array([0.0, 50.0]), 0)  # user 1 fully delivered
         gw = Gateway(_NeedScheduler(), BaseStation(), n_users=2)
+        sig = np.array([-70.0, -75.0])
         obs, phi, delivered = gw.step(
-            1,
-            np.array([-70.0, -75.0]),
-            flows,
-            fleet,
-            LinearThroughputModel(),
-            EnviPowerModel(),
-            np.zeros(2),
+            1, sig, flows, fleet, *link_rows(sig), np.zeros(2)
         )
         assert not obs.active[1]
         assert phi[1] == 0 and delivered[1] == 0.0

@@ -123,17 +123,13 @@ class TestActiveUsersChannel:
             cfg, DefaultScheduler(),
             instrumentation=Instrumentation(tracer=tracer, live=live),
         ).run()
-        # Live samples the population at the end of each watch block,
-        # after that slot's retirements; the slot event is emitted
-        # before them.
-        ended = np.bincount(
-            [e["slot"] for e in tracer.of_kind("session.end")],
-            minlength=cfg.n_slots,
-        )
-        resident = [
-            e["resident_sessions"] - ended[e["slot"]]
-            for e in tracer.of_kind("slot")
-        ]
+        # Live samples the population at the end of each watch block;
+        # both series count the sessions resident during the slot,
+        # including the ones it retires.
+        resident = [e["resident_sessions"] for e in tracer.of_kind("slot")]
+        assert any(
+            e["slot"] % 8 == 7 for e in tracer.of_kind("session.end")
+        ), "no block ends on a retirement slot"
         ticks = resident[7::8] + ([resident[-1]] if len(resident) % 8 else [])
         stat = live.stats["active_users"]
         assert stat.count == len(ticks)

@@ -29,7 +29,7 @@ FLEET_STATE = (
     "buffer_occupancy_s",
     "pending_playback_s",
     "last_slot_rebuffering_s",
-    "_began",
+    "began",
 )
 
 

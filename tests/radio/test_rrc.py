@@ -129,6 +129,27 @@ class TestFleet:
                 machines[i].step(bool(tx[i]), 1.0)
         assert fleet.states() == [m.state for m in machines]
 
+    def test_slot_length_is_fixed_by_first_call(self):
+        fleet = RRCFleet(2)
+        fleet.step(np.array([True, False]), 1.0)
+        fleet.expected_idle_cost_mj(1.0)
+        with pytest.raises(ConfigurationError):
+            fleet.step(np.array([True, False]), 0.5)
+        with pytest.raises(ConfigurationError):
+            fleet.expected_idle_cost_mj(2.0)
+
+    def test_long_runs_match_scalar_ages(self, rng):
+        # The idle-age tables extend as runs grow past their size.
+        n = 3
+        fleet = RRCFleet(n)
+        machines = [RRCStateMachine() for _ in range(n)]
+        for _ in range(300):
+            tx = rng.random(n) < 0.05
+            fleet.step(tx, 0.7)
+            for i in range(n):
+                machines[i].step(bool(tx[i]), 0.7)
+        assert fleet.idle_age_s.tolist() == [m.idle_age_s for m in machines]
+
     def test_shape_validation(self):
         fleet = RRCFleet(4)
         with pytest.raises(ConfigurationError):
