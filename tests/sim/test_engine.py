@@ -1,18 +1,26 @@
 """Tests for the simulation engine: conservation, accounting, strictness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.default import DefaultScheduler
+from repro.core.ema import EMAScheduler
 from repro.core.rtma import RTMAScheduler
 from repro.core.scheduler import Scheduler
 from repro.errors import ConstraintViolationError, SimulationError
+from repro.faults import FaultPlan
 from repro.media.video import ConstantBitrateProfile, VideoSession
 from repro.net.flows import VideoFlow
 from repro.radio.signal import ConstantSignalModel
 from repro.sim.config import SimConfig
+from repro.sim.batch import BatchPlan
 from repro.sim.engine import Simulation
+from repro.sim.executor import RunTask
 from repro.sim.workload import Workload, generate_workload
+
+from tests.integration.test_churn import assert_results_bit_identical, churn_config
 
 
 class _CheatingScheduler(Scheduler):
@@ -147,3 +155,80 @@ class TestArrivals:
         r1 = Simulation(small_config, DefaultScheduler(), wl).run()
         r2 = Simulation(small_config, DefaultScheduler(), wl).run()
         np.testing.assert_array_equal(r1.delivered_kb, r2.delivered_kb)
+
+
+def _scribble(obs) -> set[str]:
+    """Write into every array ``obs`` carries; the names that took it."""
+    written = set()
+    for field in dataclasses.fields(obs):
+        arr = getattr(obs, field.name)
+        if isinstance(arr, np.ndarray):
+            try:
+                arr[...] = 7
+            except ValueError:  # read-only
+                continue
+            written.add(field.name)
+    return written
+
+
+def _scribbling(base):
+    """``base`` with a scheduler that overwrites its observation after
+    allocating and after the feedback."""
+
+    class Scribbling(base):
+        written: set[str] = set()
+
+        def allocate(self, obs):
+            phi = super().allocate(obs)
+            self.written = self.written | _scribble(obs)
+            return phi
+
+        def notify(self, obs, phi, delivered_kb):
+            super().notify(obs, phi, delivered_kb)
+            self.written = self.written | _scribble(obs)
+
+    return Scribbling
+
+
+class TestObservationIsolation:
+    """A scheduler that writes into its observation changes nothing the
+    simulation computes: the arrays that alias simulation state are
+    read-only, and the one it may write (its copy of the RRC idle-cost
+    preview) is read by nobody after it."""
+
+    SCHEDULERS = (
+        (DefaultScheduler, lambda cfg: ()),
+        (RTMAScheduler, lambda cfg: ()),
+        (EMAScheduler, lambda cfg: (cfg.n_users,)),
+    )
+
+    def _check(self, cfg, run):
+        wl = generate_workload(cfg)
+        for cls, args in self.SCHEDULERS:
+            scribbler = _scribbling(cls)(*args(cfg))
+            plain = run(cfg, cls(*args(cfg)), wl)
+            scribbled = run(cfg, scribbler, wl)
+            assert_results_bit_identical(plain, scribbled)
+            assert scribbler.written == {"idle_tail_cost_mj"}, cls.__name__
+
+    def test_fixed_population(self, small_config):
+        cfg = small_config.with_(buffer_capacity_s=30.0)
+        self._check(cfg, lambda c, s, wl: Simulation(c, s, wl).run())
+
+    def test_churn_under_faults(self):
+        cfg = churn_config()
+        plan = FaultPlan.random(3, cfg.n_slots, cfg.n_users, n_signal=2, n_stalls=2)
+        self._check(
+            cfg.with_(faults=plan), lambda c, s, wl: Simulation(c, s, wl).run()
+        )
+
+    def test_stacked_runs(self, small_config):
+        def stacked(cfg, sched, wl):
+            other = cfg.with_(seed=cfg.seed + 1)
+            tasks = [
+                RunTask(cfg, sched, wl),
+                RunTask(other, DefaultScheduler(), generate_workload(other)),
+            ]
+            return BatchPlan(tasks).run()[0]
+
+        self._check(small_config, stacked)
